@@ -23,17 +23,20 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import constructions as cons
-from .embedding import (blow_up, extremal_number, greedy_embed, packing_oracle,
+from .embedding import (EXTREMAL_CAP, PACKING_CAP, SUBGRAPH_CAP, blow_up,
+                        extremal_number, greedy_embed, packing_oracle,
                         ramsey_oracle, subgraph_oracle, Embedding)
-from .expansion import ExpansionSpec, check_expander, robust_neighbourhood
+from .expansion import (EXPANDER_CAP, ExpansionSpec, check_expander,
+                        robust_neighbourhood)
 from .graphs import (Digraph, Graph, GraphError, bits, full_mask, mask_of,
                      popcount)
-from .hamilton import (OrientedPattern, certify, find_oriented_path,
-                       hamilton_oracle, bipartite_matching, one_factor,
-                       oriented_hamilton_oracle, rotation_extension_hamilton)
-from .regularity import (CapExceeded, PairSpec, check_digraph_regular,
-                         check_digraph_superregular, check_pair_regular,
-                         check_pair_superregular)
+from .hamilton import (HAMILTON_CAP, ORIENTED_CAP, OrientedPattern, certify,
+                       find_oriented_path, hamilton_oracle, bipartite_matching,
+                       one_factor, oriented_hamilton_oracle,
+                       rotation_extension_hamilton)
+from .regularity import (DEFAULT_CAP, CapExceeded, PairSpec,
+                         check_digraph_regular, check_digraph_superregular,
+                         check_pair_regular, check_pair_superregular)
 from .szemeredi import (InfeasibleError, Partition, degree_form,
                         degree_form_digraph, reduced_graph,
                         regularity_partition)
@@ -273,7 +276,7 @@ def _pair_or_digraph_check(args, superregular: bool):
         spec = PairSpec(g, parse_vertex_set(args.left),
                         parse_vertex_set(args.right), eps, d)
         fn = check_pair_superregular if superregular else check_pair_regular
-        verdict = fn(spec, cap=args.cap or 14, sampled=args.sampled,
+        verdict = fn(spec, cap=args.cap or DEFAULT_CAP, sampled=args.sampled,
                      seed=args.seed or 0)
     else:
         if not isinstance(g, Digraph):
@@ -283,8 +286,8 @@ def _pair_or_digraph_check(args, superregular: bool):
             raise GraphError("whole-digraph checks need --d")
         d = parse_rational(args.d)
         fn = check_digraph_superregular if superregular else check_digraph_regular
-        verdict = fn(g, eps, d, cap=args.cap or 14, sampled=args.sampled,
-                     seed=args.seed or 0)
+        verdict = fn(g, eps, d, cap=args.cap or DEFAULT_CAP,
+                     sampled=args.sampled, seed=args.seed or 0)
     wit = witness_dict(verdict.witness) if verdict.witness else None
     return ("holds" if verdict.holds else "fails"), wit, None, {
         "checked_pairs": verdict.checked_pairs, "mode": verdict.mode}
@@ -302,7 +305,8 @@ def cmd_partition(args):
     g = _load(args, "graph")
     eps = parse_rational(args.eps)
     try:
-        res = regularity_partition(g, eps, args.k0, cap=args.cap or 14,
+        res = regularity_partition(g, eps, args.k0,
+                                   cap=args.cap or DEFAULT_CAP,
                                    seed=args.seed or 0)
     except InfeasibleError as exc:
         return "infeasible", None, None, {"reason": str(exc)}
@@ -324,7 +328,8 @@ def cmd_degree_form(args):
     d = parse_rational(args.d)
     fn = degree_form_digraph if isinstance(g, Digraph) else degree_form
     try:
-        res = fn(g, eps, d, args.k0, cap=args.cap or 14, seed=args.seed or 0)
+        res = fn(g, eps, d, args.k0, cap=args.cap or DEFAULT_CAP,
+                 seed=args.seed or 0)
     except InfeasibleError as exc:
         return "infeasible", None, None, {"reason": str(exc)}
     part = res.partition
@@ -346,11 +351,12 @@ def cmd_reduce(args):
     d = parse_rational(args.d)
     fn = degree_form_digraph if isinstance(g, Digraph) else degree_form
     try:
-        res = fn(g, eps, d, args.k0, cap=args.cap or 14, seed=args.seed or 0)
+        res = fn(g, eps, d, args.k0, cap=args.cap or DEFAULT_CAP,
+                 seed=args.seed or 0)
     except InfeasibleError as exc:
         return "infeasible", None, None, {"reason": str(exc)}
     red = reduced_graph(res.pure_graph, res.partition, eps, d,
-                        cap=args.cap or 14, seed=args.seed or 0)
+                        cap=args.cap or DEFAULT_CAP, seed=args.seed or 0)
     if args.output:
         write_graph_file(args.output, red.r)
     extra = {"reduced_order": red.r.n, "reduced_edges": red.r.edge_count,
@@ -368,7 +374,7 @@ def cmd_certify(args):
 
 def cmd_hamilton(args):
     g = _load(args)
-    cycle = hamilton_oracle(g, cap=args.cap or 20)
+    cycle = hamilton_oracle(g, cap=args.cap or HAMILTON_CAP)
     if cycle is None:
         return "none", None, None, {}
     return "found", None, None, {"cycle": list(cycle)}
@@ -377,7 +383,7 @@ def cmd_hamilton(args):
 def cmd_oriented_hamilton(args):
     g = _load(args, "digraph")
     res = oriented_hamilton_oracle(g, OrientedPattern(args.pattern),
-                                   cap=args.cap or 16)
+                                   cap=args.cap or ORIENTED_CAP)
     extra = {"cycle": list(res.cycle)} if res.cycle else {}
     return res.status, None, None, extra
 
@@ -385,7 +391,7 @@ def cmd_oriented_hamilton(args):
 def cmd_oriented_path(args):
     g = _load(args, "digraph")
     path = find_oriented_path(g, args.source, args.target, args.pattern,
-                              cap=args.cap or 16)
+                              cap=args.cap or ORIENTED_CAP)
     if path is None:
         return "none", None, None, {}
     return "found", None, None, {"path": list(path)}
@@ -430,10 +436,10 @@ def cmd_expander(args):
     g = _load(args, "digraph")
     spec = ExpansionSpec(parse_rational(args.nu), parse_rational(args.tau),
                          args.mode)
-    verdict = check_expander(g, spec, cap=args.cap or 18)
+    verdict = check_expander(g, spec, cap=args.cap or EXPANDER_CAP)
     wit = {"S": set_list(verdict.violator)} if verdict.violator is not None else None
     return ("holds" if verdict.holds else "fails"), wit, None, {
-        "checked_sets": verdict.checked_sets}
+        "checked_sets": verdict.checked_sets, "visited": verdict.visited}
 
 
 def cmd_rn(args):
@@ -451,7 +457,7 @@ def _factor_context(g: Digraph) -> FactorContext:
 
 
 def _hamiltonian_factor_context(g: Digraph) -> FactorContext:
-    cycle = hamilton_oracle(g, cap=max(20, g.n))
+    cycle = hamilton_oracle(g, cap=max(HAMILTON_CAP, g.n))
     if cycle is None:
         raise GraphError("reduced digraph has no Hamilton cycle to use as F")
     return FactorContext(g, (cycle,))
@@ -505,7 +511,7 @@ def cmd_rebalance(args):
 
 def cmd_ex_number(args):
     h = parse_pattern_graph(args.h)
-    value, witness = extremal_number(args.n, h, cap=args.cap or 8)
+    value, witness = extremal_number(args.n, h, cap=args.cap or EXTREMAL_CAP)
     edges = [[u, v] for u in range(witness.n) for v in bits(witness.rows[u]) if u < v]
     return str(value), None, None, {"witness_edges": edges}
 
@@ -524,7 +530,7 @@ def cmd_ramsey(args):
 def cmd_packing(args):
     g = _load(args, "graph")
     f = parse_pattern_graph(args.f)
-    res = packing_oracle(g, f, cap=args.cap or 18)
+    res = packing_oracle(g, f, cap=args.cap or PACKING_CAP)
     if res.perfect:
         return "found", None, None, {"copies": [list(c) for c in res.copies]}
     return "none", None, None, {}
@@ -542,7 +548,7 @@ def cmd_embed(args):
     classes = [full_mask(g.n) ^ covered] + clusters
     part = Partition(g.n, tuple(classes),
                      balancing=tuple(range(1, len(clusters) + 1)), exceptional=0)
-    red = reduced_graph(g, part, eps, d, cap=args.cap or 14,
+    red = reduced_graph(g, part, eps, d, cap=args.cap or DEFAULT_CAP,
                         seed=args.seed or 0)
     rs = blow_up(red.r, args.s)
     found = subgraph_oracle(h, rs)
@@ -562,7 +568,7 @@ def cmd_oracle_embed(args):
     if isinstance(g, Digraph):
         raise GraphError("oracle-embed currently takes undirected hosts")
     h = parse_pattern_graph(args.h)
-    emb = subgraph_oracle(h, g, cap=args.cap or 10)
+    emb = subgraph_oracle(h, g, cap=args.cap or SUBGRAPH_CAP)
     if emb is None:
         return "none", None, None, {}
     return "found", None, None, {"map": list(emb.map)}

@@ -114,6 +114,7 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
+        _check_order(n)  # before allocating n rows
         rows = [0] * n
         for u, v in edges:
             if u == v:
@@ -260,6 +261,7 @@ class Digraph:
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Digraph":
+        _check_order(n)  # before allocating n rows
         rows = [0] * n
         for u, v in edges:
             if u == v:

@@ -93,6 +93,23 @@ def test_usage_error_exits_two(tmp_path):
     assert run(["not-a-command"]) == 2
 
 
+def test_huge_graph_header_exits_two(tmp_path, capsys):
+    path = tmp_path / "huge.txt"
+    path.write_text("digraph 1000000000000000000\n")
+    assert run(["expander", "--graph", str(path), "--nu", "1/10",
+                "--tau", "1/5"]) == 2
+    assert "exceeds cap" in capsys.readouterr().err
+
+
+def test_expander_report_counts_work(tmp_path, capsys):
+    path = str(tmp_path / "t.txt")
+    write_graph_file(path, cons.random_tournament(13, 5))
+    assert run(["expander", "--graph", path, "--nu", "1/13", "--tau", "1/4",
+                "--expect", "holds"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["checked_sets"], report["visited"]) == (7436, 43)
+
+
 def test_construct_writes_file(tmp_path, capsys):
     out = str(tmp_path / "h.txt")
     assert run(["construct", "haggkvist", "--m", "3", "-o", out]) == 0

@@ -79,6 +79,48 @@ def test_random_tournament_13_verdict_frozen():
     v = check_expander(t, ExpansionSpec(F(1, 13), F(1, 4), "out"))
     assert v.holds
     assert v.checked_sets == 7436
+    assert v.visited == 43
+    assert v.visited < v.checked_sets  # pruned subtrees are counted, not walked
+
+
+def brute_force_verdict(d, spec):
+    """Every S in sorted-member lex order, checked by robust_neighbourhood:
+    (holds, least violator, qualifying sets up to and including it)."""
+    n = d.n
+    directions = {"out": ["out"], "in": ["in"], "di": ["out", "in"]}[spec.mode]
+    checked = 0
+    for s in sorted(range(1, 1 << n), key=lambda m: list(bits(m))):
+        size = popcount(s)
+        if not spec.tau * n < size < (1 - spec.tau) * n:
+            continue
+        checked += 1
+        for direction in directions:
+            rn = robust_neighbourhood(d, s, spec.nu, direction)
+            if popcount(rn) < size + spec.nu * n:
+                return False, s, checked
+    return True, None, checked
+
+
+# (nu, tau) pairs: a wide window, the README's example, nu = tau, a
+# narrow window, and tau >= 1/2, whose size window is empty
+BRUTE_FORCE_PARAMS = [(F(1, 20), F(1, 10)), (F(1, 10), F(1, 5)),
+                      (F(1, 4), F(1, 4)), (F(1, 8), F(1, 3)),
+                      (F(1, 5), F(3, 5))]
+
+
+@pytest.mark.parametrize("mode", ["out", "in", "di"])
+def test_scan_matches_brute_force(mode):
+    verdicts = set()
+    for n in range(3, 12):
+        for i, p in enumerate((0.1, 0.3, 0.5, 0.9)):
+            d = cons.random_digraph(n, p, 10 * n + i)
+            for nu, tau in BRUTE_FORCE_PARAMS:
+                spec = ExpansionSpec(nu, tau, mode)
+                v = check_expander(d, spec)
+                assert (v.holds, v.violator, v.checked_sets) == \
+                    brute_force_verdict(d, spec), (n, p, nu, tau)
+                verdicts.add(v.holds)
+    assert verdicts == {True, False}
 
 
 def test_cap_enforced():

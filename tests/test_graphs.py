@@ -138,6 +138,13 @@ def test_no_loops_or_asymmetry_allowed():
         Graph(2, (2, 0))  # 0~1 present but 1~0 missing
 
 
+def test_from_edges_checks_order_before_allocating():
+    # 10**18 rows would fail to allocate (MemoryError) if built first
+    for kind in (Graph, Digraph):
+        with pytest.raises(GraphError, match="exceeds cap"):
+            kind.from_edges(10 ** 18, [])
+
+
 def test_oriented_predicate():
     assert cons.regular_tournament(5).is_oriented()
     assert not Digraph.from_edges(2, [(0, 1), (1, 0)]).is_oriented()
