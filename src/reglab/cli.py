@@ -578,97 +578,105 @@ def cmd_oracle_embed(args):
 # self-tests: one pinned fixture per subcommand
 # ---------------------------------------------------------------------------
 
-def _write_tmp(g, tmpdir: str, name: str) -> str:
-    path = os.path.join(tmpdir, name)
-    write_graph_file(path, g)
-    return path
-
-
 def selftest(command: str, run) -> int:
-    """Run the pinned fixture for ``command``; 0 on success, 1 on failure."""
-    import tempfile
-    with tempfile.TemporaryDirectory() as tmp:
-        def path_of(g, name="g.txt"):
-            return _write_tmp(g, tmp, name)
+    """Run the pinned fixture for ``command``; 0 on success, 1 on failure.
 
-        fixtures = {
-            "construct": lambda: (["construct", "haggkvist", "--m", "3"], "found"),
-            "density": lambda: (["density", "--graph",
-                                 path_of(Graph.complete_bipartite(3, 3)),
-                                 "--left", "0-2", "--right", "3-5"], "1/1"),
-            "check-regular": lambda: (["check-regular", "--graph",
-                                       path_of(cons.half_graph(6)),
-                                       "--left", "0-5", "--right", "6-11",
-                                       "--eps", "1/4"], "fails"),
-            "check-superregular": lambda: (["check-superregular", "--graph",
-                                            path_of(Graph.complete_bipartite(4, 4)),
-                                            "--left", "0-3", "--right", "4-7",
-                                            "--eps", "1/10", "--d", "1/2"], "holds"),
-            "partition": lambda: (["partition", "--graph",
-                                   path_of(Graph.complete(12)),
-                                   "--eps", "0.45", "--k0", "2"], "found"),
-            "degree-form": lambda: (["degree-form", "--graph",
-                                     path_of(Graph.complete(12)),
-                                     "--eps", "0.45", "--d", "0.05",
-                                     "--k0", "2"], "holds"),
-            "reduce": lambda: (["reduce", "--graph", path_of(Graph.complete(12)),
-                                "--eps", "0.45", "--d", "0.05", "--k0", "2"],
-                               "found"),
-            "certify": lambda: (["certify", "--graph",
-                                 path_of(cons.chvatal_extremal(8, 3)),
-                                 "--kind", "chvatal"], "fails"),
-            "hamilton": lambda: (["hamilton", "--graph",
-                                  path_of(cons.chvatal_extremal(8, 3))], "none"),
-            "oriented-hamilton": lambda: (["oriented-hamilton", "--graph",
-                                           path_of(cons.antidirected_counterexample(1)),
-                                           "--pattern", "fb" * 6], "none"),
-            "oriented-path": lambda: (["oriented-path", "--graph",
-                                       path_of(Digraph.directed_cycle(5)),
-                                       "--source", "0", "--target", "2",
-                                       "--pattern", "ff"], "found"),
-            "matching": lambda: (["matching", "--graph",
-                                  path_of(Graph.complete_bipartite(3, 3)),
-                                  "--left", "0-2", "--right", "3-5"], "found"),
-            "one-factor": lambda: (["one-factor", "--graph",
-                                    path_of(cons.haggkvist_graph(3))], "none"),
-            "rotation-hamilton": lambda: (["rotation-hamilton", "--graph",
-                                           path_of(Digraph.complete(6))], "found"),
-            "expander": lambda: (["expander", "--graph",
-                                  path_of(Digraph.complete(10)),
-                                  "--nu", "1/10", "--tau", "1/5",
-                                  "--mode", "out"], "holds"),
-            "rn": lambda: (["rn", "--graph", path_of(Digraph.directed_cycle(8)),
-                            "--set", "0-3", "--nu", "1/8",
-                            "--direction", "out"], "found"),
-            "shifted-walk": lambda: (["shifted-walk", "--graph",
-                                      path_of(Digraph.complete(5)),
-                                      "--source", "0", "--target", "2"], "found"),
-            "skewed-traverse": lambda: (["skewed-traverse", "--graph",
-                                         path_of(Digraph.complete(5)),
-                                         "--source", "0", "--target", "2"],
-                                        "found"),
-            "rebalance": lambda: (["rebalance", "--graph",
-                                   path_of(Digraph.complete(4)),
-                                   "--counts", "5,3,4,4", "--slots", "2,2,2,2",
-                                   "--m", "4", "--over", "0", "--under", "1"],
-                                  "found"),
-            "ex-number": lambda: (["ex-number", "--n", "5", "--h", "K3"], "6"),
-            "ramsey": lambda: (["ramsey", "--h", "K3", "--nmax", "6"], "6"),
-            "packing": lambda: (["packing", "--graph",
-                                 path_of(cons.c6_sharpness_graph(12)),
-                                 "--f", "C6"], "none"),
-            "embed": lambda: (["embed", "--graph", path_of(blow_up(Graph.complete(3), 8)),
-                               "--h", "K3",
-                               "--clusters", "0-7;8-15;16-23",
-                               "--eps", "1/100", "--d", "1/2", "--s", "1"],
+    The fixture runs inside a temporary working directory and names its
+    graph file relatively, so the report is byte-identical across reruns.
+    """
+    import tempfile
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            return run(_selftest_argv(command))
+        finally:
+            os.chdir(cwd)
+
+
+def _selftest_argv(command: str) -> list[str]:
+    """The pinned fixture's argv, writing its graph file to g.txt."""
+    def path_of(g):
+        write_graph_file("g.txt", g)
+        return "g.txt"
+
+    fixtures = {
+        "construct": lambda: (["construct", "haggkvist", "--m", "3"], "found"),
+        "density": lambda: (["density", "--graph",
+                             path_of(Graph.complete_bipartite(3, 3)),
+                             "--left", "0-2", "--right", "3-5"], "1/1"),
+        "check-regular": lambda: (["check-regular", "--graph",
+                                   path_of(cons.half_graph(6)),
+                                   "--left", "0-5", "--right", "6-11",
+                                   "--eps", "1/4"], "fails"),
+        "check-superregular": lambda: (["check-superregular", "--graph",
+                                        path_of(Graph.complete_bipartite(4, 4)),
+                                        "--left", "0-3", "--right", "4-7",
+                                        "--eps", "1/10", "--d", "1/2"], "holds"),
+        "partition": lambda: (["partition", "--graph",
+                               path_of(Graph.complete(12)),
+                               "--eps", "0.45", "--k0", "2"], "found"),
+        "degree-form": lambda: (["degree-form", "--graph",
+                                 path_of(Graph.complete(12)),
+                                 "--eps", "0.45", "--d", "0.05",
+                                 "--k0", "2"], "holds"),
+        "reduce": lambda: (["reduce", "--graph", path_of(Graph.complete(12)),
+                            "--eps", "0.45", "--d", "0.05", "--k0", "2"],
+                           "found"),
+        "certify": lambda: (["certify", "--graph",
+                             path_of(cons.chvatal_extremal(8, 3)),
+                             "--kind", "chvatal"], "fails"),
+        "hamilton": lambda: (["hamilton", "--graph",
+                              path_of(cons.chvatal_extremal(8, 3))], "none"),
+        "oriented-hamilton": lambda: (["oriented-hamilton", "--graph",
+                                       path_of(cons.antidirected_counterexample(1)),
+                                       "--pattern", "fb" * 6], "none"),
+        "oriented-path": lambda: (["oriented-path", "--graph",
+                                   path_of(Digraph.directed_cycle(5)),
+                                   "--source", "0", "--target", "2",
+                                   "--pattern", "ff"], "found"),
+        "matching": lambda: (["matching", "--graph",
+                              path_of(Graph.complete_bipartite(3, 3)),
+                              "--left", "0-2", "--right", "3-5"], "found"),
+        "one-factor": lambda: (["one-factor", "--graph",
+                                path_of(cons.haggkvist_graph(3))], "none"),
+        "rotation-hamilton": lambda: (["rotation-hamilton", "--graph",
+                                       path_of(Digraph.complete(6))], "found"),
+        "expander": lambda: (["expander", "--graph",
+                              path_of(Digraph.complete(10)),
+                              "--nu", "1/10", "--tau", "1/5",
+                              "--mode", "out"], "holds"),
+        "rn": lambda: (["rn", "--graph", path_of(Digraph.directed_cycle(8)),
+                        "--set", "0-3", "--nu", "1/8",
+                        "--direction", "out"], "found"),
+        "shifted-walk": lambda: (["shifted-walk", "--graph",
+                                  path_of(Digraph.complete(5)),
+                                  "--source", "0", "--target", "2"], "found"),
+        "skewed-traverse": lambda: (["skewed-traverse", "--graph",
+                                     path_of(Digraph.complete(5)),
+                                     "--source", "0", "--target", "2"],
+                                    "found"),
+        "rebalance": lambda: (["rebalance", "--graph",
+                               path_of(Digraph.complete(4)),
+                               "--counts", "5,3,4,4", "--slots", "2,2,2,2",
+                               "--m", "4", "--over", "0", "--under", "1"],
                               "found"),
-            "oracle-embed": lambda: (["oracle-embed", "--graph",
-                                      path_of(Graph.cycle(5)), "--h", "K3"],
-                                     "none"),
-        }
-        argv, expected = fixtures[command]()
-        argv += ["--expect", expected]
-        return run(argv)
+        "ex-number": lambda: (["ex-number", "--n", "5", "--h", "K3"], "6"),
+        "ramsey": lambda: (["ramsey", "--h", "K3", "--nmax", "6"], "6"),
+        "packing": lambda: (["packing", "--graph",
+                             path_of(cons.c6_sharpness_graph(12)),
+                             "--f", "C6"], "none"),
+        "embed": lambda: (["embed", "--graph", path_of(blow_up(Graph.complete(3), 8)),
+                           "--h", "K3",
+                           "--clusters", "0-7;8-15;16-23",
+                           "--eps", "1/100", "--d", "1/2", "--s", "1"],
+                          "found"),
+        "oracle-embed": lambda: (["oracle-embed", "--graph",
+                                  path_of(Graph.cycle(5)), "--h", "K3"],
+                                 "none"),
+    }
+    argv, expected = fixtures[command]()
+    return argv + ["--expect", expected]
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .graphs import Digraph, Graph, GraphError, mask_of
+from .graphs import Digraph, Graph, GraphError, _check_order
 
 
 def turan_graph(n: int, r: int) -> Graph:
@@ -51,6 +51,7 @@ def chvatal_extremal(n: int, r: int) -> Graph:
     """
     if not (1 <= r < Fraction(n, 2)):
         raise GraphError("chvatal_extremal needs 1 <= r < n/2")
+    _check_order(n)
     edges = []
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
@@ -69,6 +70,7 @@ def regular_tournament(m: int) -> Digraph:
     """Rotational tournament: i -> j iff (j - i) mod m lies in 1..(m-1)/2."""
     if m < 1 or m % 2 == 0:
         raise GraphError("regular tournaments need odd m")
+    _check_order(m)
     half = (m - 1) // 2
     edges = [(i, (i + k) % m) for i in range(m) for k in range(1, half + 1)]
     t = Digraph.from_edges(m, edges)
@@ -103,6 +105,7 @@ def haggkvist_graph(m: int) -> Digraph:
     if m < 1 or m % 2 == 0:
         raise GraphError("haggkvist_graph needs odd m")
     n = 4 * m + 3
+    _check_order(n)
     a_ids = list(range(0, m))
     b_ids = list(range(m, 2 * m + 2))
     c_ids = list(range(2 * m + 2, 3 * m + 2))
@@ -137,6 +140,7 @@ def antidirected_counterexample(m: int) -> Digraph:
         raise GraphError("antidirected_counterexample needs m >= 1")
     s = 2 * m + 1
     n = 8 * m + 4
+    _check_order(n)
     a_ids = list(range(0, s))
     b_ids = list(range(s, 2 * s))
     c_ids = list(range(2 * s, 3 * s))
@@ -161,6 +165,7 @@ def c6_sharpness_graph(n: int) -> Graph:
     """Disjoint K_{n/2+1} and K_{n/2-1}: min degree n/2-2, no perfect C6-packing."""
     if n % 6 != 0:
         raise GraphError("c6_sharpness_graph needs 6 | n")
+    _check_order(n)
     big = n // 2 + 1
     edges = [(i, j) for i in range(big) for j in range(i + 1, big)]
     edges += [(i, j) for i in range(big, n) for j in range(i + 1, n)]
@@ -173,6 +178,7 @@ def random_graph(n: int, p: float, seed: int) -> Graph:
     """G(n,p) with independent edge coins from random.Random(seed)."""
     if not 0 <= p <= 1:
         raise GraphError("p must lie in [0,1]")
+    _check_order(n)
     rng = random.Random(seed)
     edges = [(u, v) for u in range(n) for v in range(u + 1, n)
              if rng.random() < p]
@@ -183,6 +189,7 @@ def random_digraph(n: int, p: float, seed: int) -> Digraph:
     """D(n,p): each ordered pair is an arc independently with probability p."""
     if not 0 <= p <= 1:
         raise GraphError("p must lie in [0,1]")
+    _check_order(n)
     rng = random.Random(seed)
     edges = [(u, v) for u in range(n) for v in range(n)
              if u != v and rng.random() < p]
@@ -193,6 +200,7 @@ def random_bipartite(a: int, b: int, p: float, seed: int) -> Graph:
     """Random bipartite graph on sides 0..a-1 and a..a+b-1."""
     if not 0 <= p <= 1:
         raise GraphError("p must lie in [0,1]")
+    _check_order(a + b)
     rng = random.Random(seed)
     edges = [(u, a + v) for u in range(a) for v in range(b)
              if rng.random() < p]
@@ -201,6 +209,7 @@ def random_bipartite(a: int, b: int, p: float, seed: int) -> Graph:
 
 def random_tournament(n: int, seed: int) -> Digraph:
     """Uniformly random tournament (every pair flips one coin)."""
+    _check_order(n)
     rng = random.Random(seed)
     edges = []
     for u in range(n):
@@ -220,8 +229,3 @@ def petersen_graph() -> Graph:
     spokes = [(i, i + 5) for i in range(5)]
     inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
     return Graph.from_edges(10, outer + spokes + inner)
-
-
-def left_mask(g: Graph, a: int) -> tuple[int, int]:
-    """Convenience split of a graph's vertex range into (first a, rest)."""
-    return mask_of(range(a)), mask_of(range(a, g.n))

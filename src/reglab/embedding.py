@@ -131,22 +131,11 @@ def subgraph_oracle(h: Graph | Digraph, g: Graph | Digraph,
                     continue
             elif popcount(g.rows[v]) < popcount(h.rows[u]):
                 continue
-            ok = True
             for (j, forward) in constraints[i]:
                 w = assignment[j]
-                if forward:
-                    if directed:
-                        if not g.has_edge(w, v):
-                            ok = False
-                            break
-                    elif not g.has_edge(w, v):
-                        ok = False
-                        break
-                else:
-                    if not g.has_edge(v, w):
-                        ok = False
-                        break
-            if ok:
+                if not (g.has_edge(w, v) if forward else g.has_edge(v, w)):
+                    break
+            else:
                 yield v
 
     def rec(i: int, used: int) -> bool:
@@ -438,8 +427,6 @@ def _copies_through(f: Graph, g: Graph, allowed: int, v: int) -> Iterator[int]:
             pu, pw = pos_of[u], pos_of[w]
             if pu < pw:
                 constraints[pw].append(pu)
-
-    results: list[int] = []
 
     def rec(i: int, used: int) -> Iterator[int]:
         if i == f.n:

@@ -127,10 +127,12 @@ class Graph:
 
     @classmethod
     def empty(cls, n: int) -> "Graph":
+        _check_order(n)
         return cls(n, (0,) * n)
 
     @classmethod
     def complete(cls, n: int) -> "Graph":
+        _check_order(n)
         fm = full_mask(n)
         return cls(n, tuple(fm ^ (1 << v) for v in range(n)))
 
@@ -138,14 +140,17 @@ class Graph:
     def cycle(cls, n: int) -> "Graph":
         if n < 3:
             raise GraphError("cycle needs at least 3 vertices")
+        _check_order(n)
         return cls.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
     @classmethod
     def path(cls, n: int) -> "Graph":
+        _check_order(n)
         return cls.from_edges(n, [(i, i + 1) for i in range(n - 1)])
 
     @classmethod
     def complete_bipartite(cls, a: int, b: int) -> "Graph":
+        _check_order(a + b)
         left = mask_of(range(a))
         right = mask_of(range(a, a + b))
         rows = [right] * a + [left] * b
@@ -154,6 +159,7 @@ class Graph:
     @classmethod
     def complete_multipartite(cls, sizes: Sequence[int]) -> "Graph":
         n = sum(sizes)
+        _check_order(n)
         fm = full_mask(n)
         rows = []
         start = 0
@@ -273,10 +279,12 @@ class Digraph:
 
     @classmethod
     def empty(cls, n: int) -> "Digraph":
+        _check_order(n)
         return cls(n, (0,) * n)
 
     @classmethod
     def complete(cls, n: int) -> "Digraph":
+        _check_order(n)
         fm = full_mask(n)
         return cls(n, tuple(fm ^ (1 << v) for v in range(n)))
 
@@ -284,6 +292,7 @@ class Digraph:
     def directed_cycle(cls, n: int) -> "Digraph":
         if n < 2:
             raise GraphError("directed cycle needs at least 2 vertices")
+        _check_order(n)
         return cls.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
     # -- accessors ---------------------------------------------------------

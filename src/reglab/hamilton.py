@@ -143,15 +143,7 @@ def verify_hamilton_cycle(g: Graph | Digraph, order: Sequence[int]) -> bool:
         return False
     if any(not 0 <= v < n for v in order):
         return False
-    for i in range(n):
-        u, v = order[i], order[(i + 1) % n]
-        if isinstance(g, Digraph):
-            if not g.has_edge(u, v):
-                return False
-        else:
-            if not g.has_edge(u, v):
-                return False
-    return True
+    return all(g.has_edge(order[i], order[(i + 1) % n]) for i in range(n))
 
 
 def _reachable(rows: Sequence[int], start_mask: int, allowed: int) -> int:

@@ -2,16 +2,26 @@
 
 A bipartite pair (A,B) is eps-regular when every X in A, Y in B with
 |X| >= eps|A|, |Y| >= eps|B| has |d(A,B) - d(X,Y)| < eps.  The checkers here
-are exhaustive and exact: for a fixed X the extreme values of e(X,Y) over all
-Y of a given size are the sums of the largest/smallest X-degrees on the B
-side, so each X costs a sort instead of a 2^|B| scan, and every comparison is
-integer cross-multiplication (never floats).
+are exhaustive and exact, and every comparison is integer
+cross-multiplication (never floats).
+
+Only minimum sizes need scanning.  For |X| > s the density d(X,Y) is the
+average of d(X',Y) over the s-subsets X' of X, and likewise for Y, so both
+extreme deviations (and the least density, in superdensity mode) are reached
+at |X| = ceil(eps|A|) and |Y| = ceil(eps|B|).  For a fixed X the extreme
+values of e(X,Y) over those Y are the sums of the largest/smallest X-degrees
+on the B side, so the existence pass costs one sort per minimum-size X
+instead of a 2^|A| * 2^|B| scan.  ``checked_pairs`` still reports the
+combinatorial count of qualifying (X,Y) pairs of all sizes.
 
 Witnesses are canonical: the lexicographically least violating (X,Y) under
-the sorted-member-tuple order, so failing verdicts are reproducible.
+the sorted-member-tuple order, so failing verdicts are reproducible.  That
+recovery runs only after the existence pass found a violation, and walks X
+and Y of every size.
 
-A seeded sampled mode exists for sides beyond the exhaustive cap; it can only
-report "no witness found" and never feeds acceptance tests.
+A seeded sampled mode exists for sides beyond the exhaustive cap; it draws a
+fixed number of X (``DEFAULT_TRIALS``), can only report "no witness found"
+and never feeds acceptance tests.
 """
 
 from __future__ import annotations
@@ -19,6 +29,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 from typing import Optional
 
@@ -94,36 +105,25 @@ def _columns(host: Graph | Digraph, a_members: tuple[int, ...],
     return cols
 
 
-def _prefix_sums(degs_sorted: list[int]) -> tuple[list[int], list[int]]:
-    asc = [0]
-    for d in degs_sorted:
-        asc.append(asc[-1] + d)
-    desc = [0]
-    for d in reversed(degs_sorted):
-        desc.append(desc[-1] + d)
-    return asc, desc
-
-
 def _x_has_violation(degs: list[int], x: int, smin_b: int,
                      num: int, den: int, p: int, q: int, mode: str) -> bool:
     """Does some qualifying Y violate, for the X whose B-degrees are ``degs``?
 
     mode "regular": violation iff |e/(x s) - num/den| >= p/q.
     mode "superdensity": violation iff e/(x s) <= num/den  (d(X,Y) > d fails).
+    Only |Y| = smin_b is tested (see the module docstring), where the extreme
+    e(X,Y) are the sums of the smin_b smallest and largest degrees.
     """
+    if smin_b > len(degs):
+        return False
     degs_sorted = sorted(degs)
-    asc, desc = _prefix_sums(degs_sorted)
-    lb = len(degs)
-    for s in range(smin_b, lb + 1):
-        if mode == "regular":
-            lhs_hi = (desc[s] * den - num * x * s) * q
-            lhs_lo = (num * x * s - asc[s] * den) * q
-            if lhs_hi >= p * x * s * den or lhs_lo >= p * x * s * den:
-                return True
-        else:
-            if asc[s] * den <= num * x * s:
-                return True
-    return False
+    t = num * x * smin_b
+    lo = sum(degs_sorted[:smin_b]) * den
+    if mode != "regular":
+        return lo <= t
+    bound = p * x * smin_b * den
+    return ((sum(degs_sorted[-smin_b:]) * den - t) * q >= bound
+            or (t - lo) * q >= bound)
 
 
 def _lex_subsets_with_violation_check(members: tuple[int, ...], smin: int, test):
@@ -150,12 +150,17 @@ def _positions_to_vertices(mask: int, members: tuple[int, ...]) -> int:
     return mask_of(members[i] for i in bits(mask))
 
 
+def _verdict(witness: Optional[Witness], checked: int,
+             sampled: bool) -> RegularityVerdict:
+    return RegularityVerdict(witness is None, witness, checked,
+                             "sampled" if sampled else "exact")
+
+
 def _scan_pair(host, a_mask: int, b_mask: int, eps: Fraction,
                target: Fraction, mode: str, cap: int,
                directed_into_b: bool = True,
-               sampled: bool = False, seed: int = 0,
-               trials: int = DEFAULT_TRIALS):
-    """Core scan.  Returns (holds, witness, checked_pairs).
+               sampled: bool = False, seed: int = 0) -> RegularityVerdict:
+    """Core scan: exact within ``cap``, or DEFAULT_TRIALS seeded draws of X.
 
     target is the density to compare against (pair density for Definition-
     style regularity, the prescribed d for digraph regularity, or d itself in
@@ -169,19 +174,20 @@ def _scan_pair(host, a_mask: int, b_mask: int, eps: Fraction,
     num, den = target.numerator, target.denominator
     p, q = eps.numerator, eps.denominator
     cols = _columns(host, a_members, b_members, directed_into_b)
+    witness = None
 
     if sampled:
         rng = random.Random(seed)
-        for t in range(trials):
+        for t in range(DEFAULT_TRIALS):
             sx = smin_a if t % 2 == 0 else rng.randint(smin_a, la)
             xpos = rng.sample(range(la), sx)
             xmask = mask_of(xpos)
             degs = [popcount(c & xmask) for c in cols]
             if _x_has_violation(degs, sx, smin_b, num, den, p, q, mode):
-                witness = _extract_extremal_y(cols, xmask, sx, smin_b, num, den,
+                witness = _extract_extremal_y(degs, xmask, sx, smin_b, num, den,
                                               p, q, mode, a_members, b_members)
-                return False, witness, t + 1
-        return True, None, trials
+                break
+        return _verdict(witness, t + 1, sampled)
 
     if la > cap or lb > cap:
         raise CapExceeded(
@@ -190,19 +196,6 @@ def _scan_pair(host, a_mask: int, b_mask: int, eps: Fraction,
     checked = (sum(comb(la, s) for s in range(smin_a, la + 1))
                * sum(comb(lb, s) for s in range(smin_b, lb + 1)))
 
-    violating_x = None
-    for xmask in range(1, 1 << la):
-        x = popcount(xmask)
-        if x < smin_a:
-            continue
-        degs = [popcount(c & xmask) for c in cols]
-        if _x_has_violation(degs, x, smin_b, num, den, p, q, mode):
-            violating_x = xmask
-            break
-    if violating_x is None:
-        return True, None, checked
-
-    # A violation exists; recover the lexicographically least witness.
     def x_test(xmask: int, size: int):
         degs = [popcount(c & xmask) for c in cols]
         if not _x_has_violation(degs, size, smin_b, num, den, p, q, mode):
@@ -210,9 +203,15 @@ def _scan_pair(host, a_mask: int, b_mask: int, eps: Fraction,
         return _least_y_witness(degs, xmask, size, smin_b, num, den, p, q,
                                 mode, a_members, b_members)
 
-    witness = _lex_subsets_with_violation_check(a_members, smin_a, x_test)
-    assert witness is not None
-    return False, witness, checked
+    units = [1 << i for i in range(la)]
+    for xmask in map(sum, combinations(units, smin_a)):
+        degs = [popcount(c & xmask) for c in cols]
+        if _x_has_violation(degs, smin_a, smin_b, num, den, p, q, mode):
+            # A violation exists; recover the lexicographically least witness.
+            witness = _lex_subsets_with_violation_check(a_members, smin_a, x_test)
+            assert witness is not None
+            break
+    return _verdict(witness, checked, sampled)
 
 
 def _violates(e: int, x: int, s: int, num: int, den: int, p: int, q: int,
@@ -223,8 +222,14 @@ def _violates(e: int, x: int, s: int, num: int, den: int, p: int, q: int,
     return e * den <= num * x * s
 
 
-def _deviation(e: int, x: int, s: int, target: Fraction) -> Fraction:
-    return abs(Fraction(e, x * s) - target)
+def _witness(xmask: int, ymask: int, e: int, x: int, s: int, num: int,
+             den: int, mode: str, a_members, b_members) -> Witness:
+    """Position masks to a vertex-set Witness; deviation signed by ``mode``."""
+    target = Fraction(num, den)
+    dev = (abs(Fraction(e, x * s) - target) if mode == "regular"
+           else target - Fraction(e, x * s))
+    return Witness(_positions_to_vertices(xmask, a_members),
+                   _positions_to_vertices(ymask, b_members), dev)
 
 
 def _least_y_witness(degs: list[int], xmask: int, x: int, smin_b: int,
@@ -248,29 +253,21 @@ def _least_y_witness(degs: list[int], xmask: int, x: int, smin_b: int,
     hit = rec(0, 0, 0, 0)
     assert hit is not None
     ymask, e, s = hit
-    target = Fraction(num, den)
-    dev = _deviation(e, x, s, target) if mode == "regular" else target - Fraction(e, x * s)
-    return Witness(_positions_to_vertices(xmask, a_members),
-                   _positions_to_vertices(ymask, b_members), dev)
+    return _witness(xmask, ymask, e, x, s, num, den, mode, a_members, b_members)
 
 
-def _extract_extremal_y(cols, xmask: int, x: int, smin_b: int, num: int,
-                        den: int, p: int, q: int, mode: str,
+def _extract_extremal_y(degs: list[int], xmask: int, x: int, smin_b: int,
+                        num: int, den: int, p: int, q: int, mode: str,
                         a_members, b_members) -> Witness:
-    """Some violating Y (an extremal one) for sampled-mode witnesses."""
-    degs = [(popcount(c & xmask), j) for j, c in enumerate(cols)]
-    lb = len(degs)
-    by_asc = sorted(degs)
-    for s in range(smin_b, lb + 1):
-        for ordering in (by_asc, list(reversed(by_asc))):
-            e = sum(d for d, _ in ordering[:s])
-            if _violates(e, x, s, num, den, p, q, mode):
-                ymask = mask_of(j for _, j in ordering[:s])
-                target = Fraction(num, den)
-                dev = (_deviation(e, x, s, target) if mode == "regular"
-                       else target - Fraction(e, x * s))
-                return Witness(_positions_to_vertices(xmask, a_members),
-                               _positions_to_vertices(ymask, b_members), dev)
+    """An extremal violating Y of size smin_b, for sampled-mode witnesses."""
+    by_asc = sorted((d, j) for j, d in enumerate(degs))
+    for ordering in (by_asc, by_asc[::-1]):
+        chosen = ordering[:smin_b]
+        e = sum(d for d, _ in chosen)
+        if _violates(e, x, smin_b, num, den, p, q, mode):
+            ymask = mask_of(j for _, j in chosen)
+            return _witness(xmask, ymask, e, x, smin_b, num, den, mode,
+                            a_members, b_members)
     raise AssertionError("violation vanished during extraction")
 
 
@@ -279,22 +276,18 @@ def _extract_extremal_y(cols, xmask: int, x: int, smin_b: int, num: int,
 # ---------------------------------------------------------------------------
 
 def check_pair_regular(spec: PairSpec, cap: int = DEFAULT_CAP,
-                       sampled: bool = False, seed: int = 0,
-                       trials: int = DEFAULT_TRIALS) -> RegularityVerdict:
+                       sampled: bool = False,
+                       seed: int = 0) -> RegularityVerdict:
     """Is the bipartite pair (A,B) eps-regular?  Exhaustive within ``cap``."""
     target = Fraction(edges_between(spec.host, spec.a, spec.b),
                       popcount(spec.a) * popcount(spec.b))
-    holds, witness, checked = _scan_pair(spec.host, spec.a, spec.b,
-                                         spec.epsilon, target, "regular", cap,
-                                         sampled=sampled, seed=seed,
-                                         trials=trials)
-    return RegularityVerdict(holds, witness, checked,
-                             "sampled" if sampled else "exact")
+    return _scan_pair(spec.host, spec.a, spec.b, spec.epsilon, target,
+                      "regular", cap, sampled=sampled, seed=seed)
 
 
 def check_pair_superregular(spec: PairSpec, cap: int = DEFAULT_CAP,
-                            sampled: bool = False, seed: int = 0,
-                            trials: int = DEFAULT_TRIALS) -> RegularityVerdict:
+                            sampled: bool = False,
+                            seed: int = 0) -> RegularityVerdict:
     """(eps,d)-superregularity: qualifying sub-densities > d and degrees > d * opposite side.
 
     Degree failures are reported first, as a singleton witness on the failing
@@ -302,31 +295,24 @@ def check_pair_superregular(spec: PairSpec, cap: int = DEFAULT_CAP,
     """
     host, a, b, d = spec.host, spec.a, spec.b, spec.d
     ca, cb = popcount(a), popcount(b)
-    directed = isinstance(host, Digraph)
     for v in bits(a):
         deg = popcount(host.rows[v] & b)
         if Fraction(deg) <= d * cb:
-            return RegularityVerdict(
-                False, Witness(1 << v, b, d - Fraction(deg, cb), "degree"), 0,
-                "sampled" if sampled else "exact")
-    back_rows = host.in_rows if directed else host.rows
+            return _verdict(Witness(1 << v, b, d - Fraction(deg, cb), "degree"),
+                            0, sampled)
+    back_rows = host.in_rows if isinstance(host, Digraph) else host.rows
     for v in bits(b):
         deg = popcount(back_rows[v] & a)
         if Fraction(deg) <= d * ca:
-            return RegularityVerdict(
-                False, Witness(a, 1 << v, d - Fraction(deg, ca), "degree"), 0,
-                "sampled" if sampled else "exact")
-    holds, witness, checked = _scan_pair(host, a, b, spec.epsilon, d,
-                                         "superdensity", cap, sampled=sampled,
-                                         seed=seed, trials=trials)
-    return RegularityVerdict(holds, witness, checked,
-                             "sampled" if sampled else "exact")
+            return _verdict(Witness(a, 1 << v, d - Fraction(deg, ca), "degree"),
+                            0, sampled)
+    return _scan_pair(host, a, b, spec.epsilon, d, "superdensity", cap,
+                      sampled=sampled, seed=seed)
 
 
 def check_digraph_regular(dg: Digraph, epsilon: RationalLike, d: RationalLike,
                           cap: int = DEFAULT_CAP, sampled: bool = False,
-                          seed: int = 0,
-                          trials: int = DEFAULT_TRIALS) -> RegularityVerdict:
+                          seed: int = 0) -> RegularityVerdict:
     """Whole-digraph regularity: |d(X,Y) - d| < eps for all X,Y with |X|,|Y| >= eps n.
 
     X and Y range over arbitrary vertex subsets and may intersect (the
@@ -339,31 +325,25 @@ def check_digraph_regular(dg: Digraph, epsilon: RationalLike, d: RationalLike,
     if dg.n == 0:
         raise GraphError("empty digraph")
     fm = full_mask(dg.n)
-    holds, witness, checked = _scan_pair(dg, fm, fm, eps, dd, "regular", cap,
-                                         sampled=sampled, seed=seed,
-                                         trials=trials)
-    return RegularityVerdict(holds, witness, checked,
-                             "sampled" if sampled else "exact")
+    return _scan_pair(dg, fm, fm, eps, dd, "regular", cap, sampled=sampled,
+                      seed=seed)
 
 
 def check_digraph_superregular(dg: Digraph, epsilon: RationalLike,
                                d: RationalLike, cap: int = DEFAULT_CAP,
-                               sampled: bool = False, seed: int = 0,
-                               trials: int = DEFAULT_TRIALS) -> RegularityVerdict:
+                               sampled: bool = False,
+                               seed: int = 0) -> RegularityVerdict:
     """[eps,d]-superregularity: eps-regular with density d and min semidegree >= d n."""
     eps = as_fraction(epsilon)
     dd = as_fraction(d)
     n = dg.n
     for v in range(n):
-        if Fraction(dg.out_degree(v)) < dd * n:
-            return RegularityVerdict(
-                False, Witness(1 << v, 0, dd - Fraction(dg.out_degree(v), n),
-                               "out_degree"), 0, "sampled" if sampled else "exact")
-        if Fraction(dg.in_degree(v)) < dd * n:
-            return RegularityVerdict(
-                False, Witness(1 << v, 0, dd - Fraction(dg.in_degree(v), n),
-                               "in_degree"), 0, "sampled" if sampled else "exact")
-    return check_digraph_regular(dg, eps, dd, cap, sampled, seed, trials)
+        for kind, deg in (("out_degree", dg.out_degree(v)),
+                          ("in_degree", dg.in_degree(v))):
+            if Fraction(deg) < dd * n:
+                return _verdict(Witness(1 << v, 0, dd - Fraction(deg, n), kind),
+                                0, sampled)
+    return check_digraph_regular(dg, eps, dd, cap, sampled, seed)
 
 
 def low_degree_vertices(spec: PairSpec, y: int) -> int:

@@ -32,9 +32,9 @@ from typing import Optional, Sequence
 from .graphs import (Digraph, Graph, GraphError, RationalLike, as_fraction,
                      bits, edges_between, frac_ceil, frac_floor, full_mask,
                      mask_of, popcount)
-from .regularity import (DEFAULT_CAP, DEFAULT_TRIALS, PairSpec,
-                         RegularityVerdict, Witness, check_pair_regular,
-                         check_pair_superregular, low_degree_vertices)
+from .regularity import (DEFAULT_CAP, PairSpec, RegularityVerdict,
+                         check_pair_regular, check_pair_superregular,
+                         low_degree_vertices)
 
 
 class InfeasibleError(GraphError):
@@ -209,9 +209,21 @@ class RegularityPartitionResult:
     sampled_pairs: int  # balancing pairs that needed sampled checking
 
 
+def _check_pair(spec: PairSpec, cap: int, seed: int,
+                superregular: bool = False) -> RegularityVerdict:
+    """The one checking policy: exact within ``cap``, sampled beyond it.
+
+    The checkers are looked up as module globals on every call, so a wrapper
+    installed on this module's names sees each check.
+    """
+    check = check_pair_superregular if superregular else check_pair_regular
+    sampled = max(popcount(spec.a), popcount(spec.b)) > cap
+    return check(spec, cap=cap, sampled=sampled, seed=seed)
+
+
 def _pair_witnesses(g: Graph, classes: tuple[int, ...], balancing: tuple[int, ...],
-                    eps: Fraction, cap: int, seed: int,
-                    trials: int) -> tuple[list[WitnessTuple], int, int]:
+                    eps: Fraction, cap: int,
+                    seed: int) -> tuple[list[WitnessTuple], int, int]:
     """Irregularity witnesses among balancing-class pairs; exhaustive within cap."""
     witnesses: list[WitnessTuple] = []
     irregular = 0
@@ -219,15 +231,9 @@ def _pair_witnesses(g: Graph, classes: tuple[int, ...], balancing: tuple[int, ..
     for ai in range(len(balancing)):
         for bi in range(ai + 1, len(balancing)):
             i, j = balancing[ai], balancing[bi]
-            spec = PairSpec(g, classes[i], classes[j], eps)
-            size = popcount(classes[i])
-            if size <= cap and popcount(classes[j]) <= cap:
-                verdict = check_pair_regular(spec, cap=cap)
-            else:
-                sampled_used += 1
-                verdict = check_pair_regular(spec, cap=cap, sampled=True,
-                                             seed=seed ^ (i * 0x9E3779B1 + j),
-                                             trials=trials)
+            verdict = _check_pair(PairSpec(g, classes[i], classes[j], eps), cap,
+                                  seed ^ (i * 0x9E3779B1 + j))
+            sampled_used += verdict.mode == "sampled"
             if not verdict.holds:
                 irregular += 1
                 w = verdict.witness
@@ -236,8 +242,8 @@ def _pair_witnesses(g: Graph, classes: tuple[int, ...], balancing: tuple[int, ..
 
 
 def regularity_partition(g: Graph, epsilon: RationalLike, k0: int,
-                         cap: int = DEFAULT_CAP, seed: int = 0,
-                         trials: int = DEFAULT_TRIALS) -> RegularityPartitionResult:
+                         cap: int = DEFAULT_CAP,
+                         seed: int = 0) -> RegularityPartitionResult:
     """Run the energy-increment proof of the Regularity Lemma on ``g``.
 
     Returns an eps-regular partition (exceptional class at index 0, clusters
@@ -272,7 +278,7 @@ def regularity_partition(g: Graph, epsilon: RationalLike, k0: int,
     while True:
         assert p.balancing is not None
         witnesses, irregular, sampled = _pair_witnesses(
-            g, p.classes, p.balancing, eps, cap, seed, trials)
+            g, p.classes, p.balancing, eps, cap, seed)
         sampled_total += sampled
         c_len = len(p.balancing)
         if Fraction(irregular) <= eps * c_len * c_len:
@@ -320,17 +326,8 @@ def _inner_constants(eps: Fraction, d: Fraction, k0: int) -> tuple[Fraction, int
     return eps_p, k0_p
 
 
-def _pair_regular_auto(host, a: int, b: int, eps: Fraction, cap: int,
-                       seed: int, trials: int) -> RegularityVerdict:
-    if popcount(a) <= cap and popcount(b) <= cap:
-        return check_pair_regular(PairSpec(host, a, b, eps), cap=cap)
-    return check_pair_regular(PairSpec(host, a, b, eps), cap=cap, sampled=True,
-                              seed=seed, trials=trials)
-
-
 def degree_form(g: Graph, epsilon: RationalLike, d: RationalLike, k0: int,
-                cap: int = DEFAULT_CAP, seed: int = 0,
-                trials: int = DEFAULT_TRIALS) -> DegreeFormResult:
+                cap: int = DEFAULT_CAP, seed: int = 0) -> DegreeFormResult:
     """Degree form of the Regularity Lemma: pure graph + partition + audit.
 
     Inner constants follow the documented materialisation eps' = min(eps/40,
@@ -339,17 +336,17 @@ def degree_form(g: Graph, epsilon: RationalLike, d: RationalLike, k0: int,
     rerun with k0' = n, which always succeeds and still satisfies
     1/k0' << eps, d, 1/k0.
     """
-    return _degree_form_impl(g, epsilon, d, k0, cap, seed, trials, directed=False)
+    return _degree_form_impl(g, epsilon, d, k0, cap, seed, directed=False)
 
 
 def degree_form_digraph(g: Digraph, epsilon: RationalLike, d: RationalLike,
-                        k0: int, cap: int = DEFAULT_CAP, seed: int = 0,
-                        trials: int = DEFAULT_TRIALS) -> DegreeFormResult:
+                        k0: int, cap: int = DEFAULT_CAP,
+                        seed: int = 0) -> DegreeFormResult:
     """Digraph analogue: the same five steps applied to ordered cluster pairs."""
-    return _degree_form_impl(g, epsilon, d, k0, cap, seed, trials, directed=True)
+    return _degree_form_impl(g, epsilon, d, k0, cap, seed, directed=True)
 
 
-def _degree_form_impl(g, epsilon, d_val, k0, cap, seed, trials, directed):
+def _degree_form_impl(g, epsilon, d_val, k0, cap, seed, directed):
     eps = as_fraction(epsilon)
     d = as_fraction(d_val)
     n = g.n
@@ -362,11 +359,11 @@ def _degree_form_impl(g, epsilon, d_val, k0, cap, seed, trials, directed):
     used_fallback = False
     underlying = g.underlying_graph() if directed else g
     try:
-        inner = regularity_partition(underlying, eps_p, k0_p, cap, seed, trials)
+        inner = regularity_partition(underlying, eps_p, k0_p, cap, seed)
     except InfeasibleError:
         used_fallback = True
         k0_p = n
-        inner = regularity_partition(underlying, eps_p, k0_p, cap, seed, trials)
+        inner = regularity_partition(underlying, eps_p, k0_p, cap, seed)
 
     part = inner.partition
     v0 = part.classes[part.exceptional]
@@ -405,8 +402,8 @@ def _degree_form_impl(g, epsilon, d_val, k0, cap, seed, trials, directed):
     host0 = current_host()
     red: set[tuple[int, int]] = set()
     for (i, j) in ordered_pairs:
-        verdict = _pair_regular_auto(host0, clusters[i], clusters[j], eps_p,
-                                     cap, seed ^ (i * 0x9E3779B1 + j), trials)
+        verdict = _check_pair(PairSpec(host0, clusters[i], clusters[j], eps_p),
+                              cap, seed ^ (i * 0x9E3779B1 + j))
         if not verdict.holds:
             red.add((i, j))
     red_count = [0] * n
@@ -480,11 +477,11 @@ def _degree_form_impl(g, epsilon, d_val, k0, cap, seed, trials, directed):
     partition = Partition(n, tuple([v0] + final_clusters),
                           balancing=tuple(range(1, k + 1)), exceptional=0)
     audit = _degree_form_audit(g, pure, partition, eps, d, k0, cap, seed,
-                               trials, directed)
+                               directed)
     return DegreeFormResult(pure, partition, audit, eps_p, k0_p, used_fallback)
 
 
-def _degree_form_audit(g, pure, partition, eps, d, k0, cap, seed, trials,
+def _degree_form_audit(g, pure, partition, eps, d, k0, cap, seed,
                        directed) -> dict:
     n = g.n
     v0 = partition.classes[partition.exceptional]
@@ -526,8 +523,8 @@ def _degree_form_audit(g, pure, partition, eps, d, k0, cap, seed, trials,
         if dens <= d_f:
             pair_ok = False
             break
-        verdict = _pair_regular_auto(pure, clusters[i], clusters[j], eps_f,
-                                     cap, seed ^ (i * 0x9E3779B1 + j), trials)
+        verdict = _check_pair(PairSpec(pure, clusters[i], clusters[j], eps_f),
+                              cap, seed ^ (i * 0x9E3779B1 + j))
         if not verdict.holds:
             pair_ok = False
             break
@@ -551,8 +548,7 @@ class ReducedGraph:
 
 def reduced_graph(pure: Graph | Digraph, partition: Partition,
                   epsilon: RationalLike, d: RationalLike,
-                  cap: int = DEFAULT_CAP, seed: int = 0,
-                  trials: int = DEFAULT_TRIALS) -> ReducedGraph:
+                  cap: int = DEFAULT_CAP, seed: int = 0) -> ReducedGraph:
     """Cluster graph: edges are the regular pairs of the pure graph denser than d.
 
     For digraphs an arc V_i -> V_j requires density >= d; for graphs the
@@ -572,8 +568,8 @@ def reduced_graph(pure: Graph | Digraph, partition: Partition,
         e = edges_between(pure, clusters[i], clusters[j])
         dens = Fraction(e, popcount(clusters[i]) * popcount(clusters[j]))
         if (dens >= dd if directed else dens > dd):
-            verdict = _pair_regular_auto(pure, clusters[i], clusters[j], eps,
-                                         cap, seed ^ (i * 0x9E3779B1 + j), trials)
+            verdict = _check_pair(PairSpec(pure, clusters[i], clusters[j], eps),
+                                  cap, seed ^ (i * 0x9E3779B1 + j))
             if verdict.holds:
                 edges.append((i, j))
     r = (Digraph.from_edges(k, edges) if directed else Graph.from_edges(k, edges))
@@ -598,8 +594,8 @@ class SuperregularizeResult:
 def superregularize_path(pure: Graph | Digraph, partition: Partition,
                          r_edges: Sequence[tuple[int, int]],
                          epsilon: RationalLike, d: RationalLike,
-                         cap: int = DEFAULT_CAP, seed: int = 0,
-                         trials: int = DEFAULT_TRIALS) -> SuperregularizeResult:
+                         cap: int = DEFAULT_CAP,
+                         seed: int = 0) -> SuperregularizeResult:
     """Shrink clusters so the selected reduced-graph edges become superregular.
 
     Removes the low-degree vertices each selected pair identifies, pads every
@@ -642,13 +638,8 @@ def superregularize_path(pure: Graph | Digraph, partition: Partition,
         subclusters.append(clusters[i] & ~drop)
         removed_total += popcount(drop)
 
-    audits = []
-    for (i, j) in r_edges:
-        a, b = subclusters[i], subclusters[j]
-        spec = PairSpec(pure, a, b, 2 * eps, dd - 3 * eps)
-        if popcount(a) <= cap and popcount(b) <= cap:
-            audits.append(check_pair_superregular(spec, cap=cap))
-        else:
-            audits.append(check_pair_superregular(spec, cap=cap, sampled=True,
-                                                  seed=seed, trials=trials))
-    return SuperregularizeResult(tuple(subclusters), removed_total, tuple(audits))
+    audits = tuple(
+        _check_pair(PairSpec(pure, subclusters[i], subclusters[j], 2 * eps,
+                             dd - 3 * eps), cap, seed, superregular=True)
+        for (i, j) in r_edges)
+    return SuperregularizeResult(tuple(subclusters), removed_total, audits)

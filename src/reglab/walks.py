@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .graphs import Digraph, GraphError
+from .graphs import Digraph, GraphError, bits
 
 
 @dataclass(frozen=True)
@@ -138,7 +138,7 @@ def find_shifted_walk(ctx: FactorContext, a: int, b: int,
             if x != a and (x in avoid or pred[x] in avoid):
                 continue
             hop_source = pred[x]
-            for y in sorted(_neighbours(r, hop_source)):
+            for y in bits(r.rows[hop_source]):
                 if y not in parent:
                     parent[y] = x
                     nxt.append(y)
@@ -153,11 +153,6 @@ def find_shifted_walk(ctx: FactorContext, a: int, b: int,
             return walk
         frontier = nxt
     return None
-
-
-def _neighbours(r: Digraph, v: int) -> list[int]:
-    from .graphs import bits
-    return list(bits(r.rows[v]))
 
 
 def find_skewed_traverse(ctx: FactorContext, a: int,
@@ -185,7 +180,7 @@ def find_skewed_traverse(ctx: FactorContext, a: int,
         return tr
 
     frontier = []
-    for y in sorted(_neighbours(r, a)):
+    for y in bits(r.rows[a]):
         parent[y] = (a, None)
         frontier.append(y)
     for _depth in range(k + 1):
@@ -194,7 +189,7 @@ def find_skewed_traverse(ctx: FactorContext, a: int,
         nxt = []
         for y in sorted(frontier):
             src = pred[y]
-            for z in sorted(_neighbours(r, src)):
+            for z in bits(r.rows[src]):
                 if z not in parent:
                     parent[z] = (src, y)
                     nxt.append(z)

@@ -101,6 +101,19 @@ def test_huge_graph_header_exits_two(tmp_path, capsys):
     assert "exceeds cap" in capsys.readouterr().err
 
 
+def test_huge_construct_exits_two(capsys):
+    assert run(["construct", "complete", "--n", str(10 ** 18)]) == 2
+    assert "exceeds cap" in capsys.readouterr().err
+
+
+def test_selftest_report_byte_identical(capsys):
+    assert run(["check-regular", "--selftest"]) == 0
+    first = capsys.readouterr().out
+    assert run(["check-regular", "--selftest"]) == 0
+    assert capsys.readouterr().out == first
+    assert json.loads(first)["parameters"]["graph"] == "g.txt"
+
+
 def test_expander_report_counts_work(tmp_path, capsys):
     path = str(tmp_path / "t.txt")
     write_graph_file(path, cons.random_tournament(13, 5))

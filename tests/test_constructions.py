@@ -7,7 +7,7 @@ import pytest
 from reglab import constructions as cons
 from reglab.embedding import subgraph_oracle
 from reglab.enumeration import isomorphic
-from reglab.graphs import Digraph, Graph, GraphError
+from reglab.graphs import MAX_VERTICES, Digraph, Graph, GraphError
 
 F = Fraction
 
@@ -142,3 +142,27 @@ def test_random_tournament_is_tournament():
     t = cons.random_tournament(9, 4)
     assert t.is_oriented()
     assert t.edge_count == 36
+
+
+def test_families_check_order_before_building(monkeypatch):
+    # every edge list and coin sequence here starts with a range(); make that
+    # fail, so only a family that checks its vertex count first gets to raise
+    # GraphError (one vertex over the cap keeps a failure cheap)
+    def no_range(*args):
+        raise AssertionError("built before checking the vertex count")
+
+    monkeypatch.setattr(cons, "range", no_range, raising=False)
+    n = MAX_VERTICES + 1
+    m = (MAX_VERTICES + 1) // 4 | 1  # odd, with 4m + 3 and 8m + 4 over the cap
+    builders = [lambda: cons.random_graph(n, 0.5, 0),
+                lambda: cons.random_digraph(n, 0.5, 0),
+                lambda: cons.random_bipartite(n - 1, 1, 0.5, 0),
+                lambda: cons.random_tournament(n, 0),
+                lambda: cons.chvatal_extremal(n, 1),
+                lambda: cons.regular_tournament(n),
+                lambda: cons.haggkvist_graph(m),
+                lambda: cons.antidirected_counterexample(m),
+                lambda: cons.c6_sharpness_graph(6 * (MAX_VERTICES // 6 + 1))]
+    for build in builders:
+        with pytest.raises(GraphError, match="exceeds cap"):
+            build()

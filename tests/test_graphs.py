@@ -1,13 +1,15 @@
 """Core graph/digraph values and the exact density accessor."""
 
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 from reglab import constructions as cons
 from reglab.enumeration import isomorphic
-from reglab.graphs import (Digraph, Graph, GraphError, bits, density,
-                           degree_sequences, full_mask, mask_of, popcount)
+from reglab.graphs import (MAX_VERTICES, Digraph, Graph, GraphError, bits,
+                           density, degree_sequences, full_mask, mask_of,
+                           popcount)
 
 
 def test_density_complete_bipartite_is_one():
@@ -143,6 +145,27 @@ def test_from_edges_checks_order_before_allocating():
     for kind in (Graph, Digraph):
         with pytest.raises(GraphError, match="exceeds cap"):
             kind.from_edges(10 ** 18, [])
+
+
+def test_constructors_check_order_before_allocating():
+    # one vertex over the cap: rows, masks or edge lists built before the
+    # check take at least 8 bytes per vertex, raising the error a few KB
+    n = MAX_VERTICES + 1
+    builders = [lambda: Graph.empty(n), lambda: Graph.complete(n),
+                lambda: Graph.cycle(n), lambda: Graph.path(n),
+                lambda: Graph.complete_bipartite(n - 1, 1),
+                lambda: Graph.complete_multipartite([n]),
+                lambda: Digraph.empty(n), lambda: Digraph.complete(n),
+                lambda: Digraph.directed_cycle(n)]
+    for build in builders:
+        tracemalloc.start()
+        try:
+            with pytest.raises(GraphError, match="exceeds cap"):
+                build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * n
 
 
 def test_oriented_predicate():

@@ -10,6 +10,7 @@ arithmetic and are pinned to the oracle's verdicts instead: the directed
 overlapping X,Y lose the diagonal.
 """
 
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -25,26 +26,50 @@ from reglab.regularity import (CapExceeded, PairSpec, check_digraph_regular,
 F = Fraction
 
 
-def naive_pair_regular(g, a, b, eps):
-    """Independent oracle: literal double subset scan, integer cross-mult."""
-    A, B = list(bits(a)), list(bits(b))
-    E = sum(popcount(g.rows[v] & b) for v in A)
-    DEN = len(A) * len(B)
+def naive_least_witness(g, a, b, eps, target, superdensity=False):
+    """Independent oracle: the first violating (X, Y) over every qualifying
+    size, X then Y in sorted-member lex order, or None.
+
+    Violation is |e - target*|X||Y|| >= eps*|X||Y| (regular) or
+    e <= target*|X||Y| (superdensity), by integer cross-multiplication.
+    Returns (X mask, Y mask, deviation); a and b may overlap.
+    """
+    num, den = target.numerator, target.denominator
     p, q = eps.numerator, eps.denominator
-    for sx in range(1, len(A) + 1):
-        if F(sx) < eps * len(A):
-            continue
-        for X in combinations(A, sx):
-            xm = mask_of(X)
-            for sy in range(1, len(B) + 1):
-                if F(sy) < eps * len(B):
-                    continue
-                for Y in combinations(B, sy):
-                    ym = mask_of(Y)
-                    e = sum(popcount(g.rows[v] & ym) for v in X)
-                    if abs(e * DEN - E * sx * sy) * q >= p * sx * sy * DEN:
-                        return False
-    return True
+
+    def qualifying(side):
+        members = list(bits(side))
+        return sorted(s for k in range(1, len(members) + 1)
+                      if F(k) >= eps * len(members)
+                      for s in combinations(members, k))
+
+    ys = [(len(y), mask_of(y)) for y in qualifying(b)]
+    for x in qualifying(a):
+        for sy, ym in ys:
+            e = sum(popcount(g.rows[v] & ym) for v in x)
+            area = len(x) * sy
+            if superdensity:
+                bad = e * den <= num * area
+            else:
+                bad = abs(e * den - num * area) * q >= p * area * den
+            if bad:
+                dev = (target - F(e, area) if superdensity
+                       else abs(F(e, area) - target))
+                return mask_of(x), ym, dev
+    return None
+
+
+def naive_violates(g, a, b, eps, target, w, superdensity=False):
+    """Does the witness w violate, by the same integer test as above?"""
+    sx, sy = popcount(w.x), popcount(w.y)
+    if w.x & ~a or w.y & ~b or F(sx) < eps * popcount(a) or F(sy) < eps * popcount(b):
+        return False
+    e = sum(popcount(g.rows[v] & w.y) for v in bits(w.x))
+    num, den = target.numerator, target.denominator
+    if superdensity:
+        return e * den <= num * sx * sy
+    return (abs(e * den - num * sx * sy) * eps.denominator
+            >= eps.numerator * sx * sy * den)
 
 
 def pair(g, a_range, b_range, eps, d=0):
@@ -86,13 +111,65 @@ def test_witness_sets_meet_size_thresholds():
     assert abs(d_ab - d_xy) == v.witness.deviation
 
 
+NAIVE_EPS = (F(1, 10), F(1, 4), F(2, 5), F(9, 20), F(1, 2), F(3, 2))
+
+
+def _naive_instances(count, seed, probs=(0.2, 0.5, 0.8)):
+    """Fixed-seed (la, lb, p, graph seed) with sides 1..7."""
+    rng = random.Random(seed)
+    return [(rng.randint(1, 7), rng.randint(1, 7), rng.choice(probs),
+             rng.randrange(10 ** 6)) for _ in range(count)]
+
+
+def _agrees(v, g, a, b, eps, target, superdensity=False):
+    """Exact verdict and lex-least witness equal the naive scan's; a sampled
+    verdict's witness, if any, violates by the naive integer test."""
+    ref = naive_least_witness(g, a, b, eps, target, superdensity)
+    assert v.holds == (ref is None)
+    if v.witness is not None:
+        assert v.witness.kind == "density"
+        assert (v.witness.x, v.witness.y, v.witness.deviation) == ref
+    if ref is not None and eps <= 1:
+        fn = check_pair_superregular if superdensity else check_pair_regular
+        sampled = (fn(PairSpec(g, a, b, eps, target), sampled=True, seed=5)
+                   if a != b else check_digraph_regular(g, eps, target,
+                                                        sampled=True, seed=5))
+        assert sampled.mode == "sampled"
+        if sampled.witness is not None:
+            assert naive_violates(g, a, b, eps, target, sampled.witness,
+                                  superdensity)
+
+
 def test_agrees_with_naive_scan_on_random_pairs():
-    for seed in range(10):
-        g = cons.random_bipartite(7, 7, 0.5, seed)
-        a, b = mask_of(range(7)), mask_of(range(7, 14))
-        for eps in (F(1, 4), F(2, 5), F(1, 2)):
-            assert (check_pair_regular(PairSpec(g, a, b, eps)).holds
-                    == naive_pair_regular(g, a, b, eps))
+    for la, lb, prob, seed in _naive_instances(40, 0):
+        g = cons.random_bipartite(la, lb, prob, seed)
+        a, b = mask_of(range(la)), mask_of(range(la, la + lb))
+        for eps in NAIVE_EPS:
+            v = check_pair_regular(PairSpec(g, a, b, eps))
+            _agrees(v, g, a, b, eps, density(g, a, b))
+
+    # superdensity, with d below every degree ratio so the scan decides
+    superdense = 0
+    for la, lb, prob, seed in _naive_instances(40, 1, (0.7, 0.85, 0.95)):
+        g = cons.random_bipartite(la, lb, prob, seed)
+        a, b = mask_of(range(la)), mask_of(range(la, la + lb))
+        d = F(9, 10) * min(min(popcount(g.rows[v] & b) for v in bits(a)) * F(1, lb),
+                           min(popcount(g.rows[v] & a) for v in bits(b)) * F(1, la))
+        if d == 0:
+            continue  # an isolated vertex: no d >= 0 meets the degree conditions
+        for eps in NAIVE_EPS:
+            v = check_pair_superregular(PairSpec(g, a, b, eps, d))
+            _agrees(v, g, a, b, eps, d, superdensity=True)
+            superdense += 1
+    assert superdense >= 30
+
+    # whole digraphs: X and Y range over all of V and may intersect
+    for n, _, prob, seed in _naive_instances(30, 2):
+        dg = cons.random_digraph(n, prob, seed)
+        fm = full_mask(n)
+        for eps in NAIVE_EPS:
+            for d in (F(0), F(1, 2), F(prob).limit_denominator(10)):
+                _agrees(check_digraph_regular(dg, eps, d), dg, fm, fm, eps, d)
 
 
 def test_cap_enforced():
@@ -104,7 +181,7 @@ def test_cap_enforced():
 def test_sampled_mode_runs_beyond_cap():
     g = cons.random_bipartite(20, 20, 0.5, 0)
     spec = PairSpec(g, mask_of(range(20)), mask_of(range(20, 40)), F(45, 100))
-    v = check_pair_regular(spec, sampled=True, seed=1, trials=200)
+    v = check_pair_regular(spec, sampled=True, seed=1)
     assert v.mode == "sampled"
     assert v.holds  # eps 0.45 deviations do not appear in dense random pairs
 
