@@ -1,11 +1,12 @@
-"""Command-line surface: one subcommand per library operation, file formats,
-and reproducible JSON reports.
+"""Command-line surface: one subcommand per library operation, each declared
+once by ``@subcommand`` on its handler, file formats, and reproducible JSON
+reports.
 
 Graph files are plain text: a header line ``graph <n>`` or ``digraph <n>``
 followed by one ``u v`` pair per line (0-indexed; for digraphs the line means
 the arc u -> v).  Reports are JSON with rationals rendered as "p/q" strings
 and vertex sets as sorted lists; identical inputs and seeds produce
-byte-identical reports (runtime is reported only under --timing, since a
+byte-identical reports (``runtime_ms`` appears only under --timing, since a
 wall-clock field would break reproducibility).
 
 Exit codes: 2 for usage or domain errors, 1 when --expect names a different
@@ -20,7 +21,7 @@ import os
 import sys
 import time
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import constructions as cons
 from .embedding import (EXTREMAL_CAP, PACKING_CAP, SUBGRAPH_CAP, blow_up,
@@ -194,7 +195,8 @@ def emit_report(command: str, parameters: dict, verdict: str,
     if extra:
         for k, v in extra.items():
             report[k] = fmt(v)
-    report["runtime_ms"] = runtime_ms if runtime_ms is not None else 0
+    if runtime_ms is not None:
+        report["runtime_ms"] = runtime_ms
     return report
 
 
@@ -204,8 +206,49 @@ def witness_dict(w) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: each returns (verdict, witness, audit, extra)
+# subcommands: each is declared once, on its handler
 # ---------------------------------------------------------------------------
+
+class Subcommand(NamedTuple):
+    handler: Callable
+    arguments: tuple  # (flags, keyword arguments) per own argument, in order
+    fixture: Callable  # graph-file writer -> (argv after the name, verdict)
+    graph: bool  # takes a graph file, positional or --graph
+    seed: bool  # --seed, --cap and -o exist only where the handler reads them
+    cap: bool
+    output: bool
+
+
+SUBCOMMANDS: dict[str, Subcommand] = {}
+
+
+def subcommand(name: str, *arguments, fixture: Callable, graph: bool = True,
+               seed: bool = False, cap: bool = False, output: bool = False):
+    """Register the decorated handler as ``reglab <name>``.
+
+    The handler returns (verdict, witness, audit, extra).  ``arguments`` are
+    the subcommand's own ``arg(...)`` declarations.  ``fixture`` is the
+    pinned self-test: given a function that writes a graph file and returns
+    its name, it returns the argv after the subcommand name and the verdict
+    that argv must produce.
+    """
+    def register(handler):
+        SUBCOMMANDS[name] = Subcommand(handler, arguments, fixture, graph,
+                                       seed, cap, output)
+        return handler
+    return register
+
+
+def arg(*flags, **kwargs):
+    return flags, kwargs
+
+
+_LEFT_RIGHT = (arg("--left"), arg("--right"))
+_SOURCE_TARGET = (arg("--source", type=int), arg("--target", type=int))
+_PAIR_CHECK = (*_LEFT_RIGHT, arg("--eps"), arg("--d"),
+               arg("--sampled", action="store_true"))
+_DEGREE_FORM = (arg("--eps"), arg("--d"), arg("--k0", type=int))
+
 
 def _load(args, kind=None):
     path = args.graph or getattr(args, "graph_pos", None)
@@ -219,6 +262,10 @@ def _load(args, kind=None):
     return g
 
 
+@subcommand("construct", arg("family", nargs="?"),
+            *(arg(flag, type=int) for flag in ("--n", "--r", "--m", "--a", "--b")),
+            arg("--p", type=float), graph=False, seed=True, output=True,
+            fixture=lambda g: (["haggkvist", "--m", "3"], "found"))
 def cmd_construct(args):
     fam = args.family
     builders = {
@@ -244,8 +291,7 @@ def cmd_construct(args):
             "random-digraph": "np", "random-bipartite": "abp",
             "complete": "n", "complete-digraph": "n", "cycle": "n",
             "directed-cycle": "n", "petersen": ""}[fam]
-    for ch in need:
-        attr = {"n": "n", "r": "r", "m": "m", "p": "p", "a": "a", "b": "b"}[ch]
+    for attr in need:
         if getattr(args, attr) is None:
             raise GraphError(f"construct {fam} needs --{attr}")
     g = builders[fam]()
@@ -259,6 +305,9 @@ def cmd_construct(args):
     return "found", None, None, extra
 
 
+@subcommand("density", *_LEFT_RIGHT,
+            fixture=lambda g: (["--graph", g(Graph.complete_bipartite(3, 3)),
+                                "--left", "0-2", "--right", "3-5"], "1/1"))
 def cmd_density(args):
     g = _load(args)
     a = parse_vertex_set(args.left)
@@ -293,14 +342,26 @@ def _pair_or_digraph_check(args, superregular: bool):
         "checked_pairs": verdict.checked_pairs, "mode": verdict.mode}
 
 
+@subcommand("check-regular", *_PAIR_CHECK, seed=True, cap=True,
+            fixture=lambda g: (["--graph", g(cons.half_graph(6)),
+                                "--left", "0-5", "--right", "6-11",
+                                "--eps", "1/4"], "fails"))
 def cmd_check_regular(args):
     return _pair_or_digraph_check(args, superregular=False)
 
 
+@subcommand("check-superregular", *_PAIR_CHECK, seed=True, cap=True,
+            fixture=lambda g: (["--graph", g(Graph.complete_bipartite(4, 4)),
+                                "--left", "0-3", "--right", "4-7",
+                                "--eps", "1/10", "--d", "1/2"], "holds"))
 def cmd_check_superregular(args):
     return _pair_or_digraph_check(args, superregular=True)
 
 
+@subcommand("partition", arg("--eps"), arg("--k0", type=int),
+            seed=True, cap=True,
+            fixture=lambda g: (["--graph", g(Graph.complete(12)),
+                                "--eps", "0.45", "--k0", "2"], "found"))
 def cmd_partition(args):
     g = _load(args, "graph")
     eps = parse_rational(args.eps)
@@ -322,6 +383,9 @@ def cmd_partition(args):
     return "found", None, None, extra
 
 
+@subcommand("degree-form", *_DEGREE_FORM, seed=True, cap=True,
+            fixture=lambda g: (["--graph", g(Graph.complete(12)), "--eps", "0.45",
+                                "--d", "0.05", "--k0", "2"], "holds"))
 def cmd_degree_form(args):
     g = _load(args)
     eps = parse_rational(args.eps)
@@ -345,6 +409,9 @@ def cmd_degree_form(args):
     return ("holds" if res.audit["all"] else "fails"), None, res.audit, extra
 
 
+@subcommand("reduce", *_DEGREE_FORM, seed=True, cap=True, output=True,
+            fixture=lambda g: (["--graph", g(Graph.complete(12)), "--eps", "0.45",
+                                "--d", "0.05", "--k0", "2"], "found"))
 def cmd_reduce(args):
     g = _load(args)
     eps = parse_rational(args.eps)
@@ -364,6 +431,9 @@ def cmd_reduce(args):
     return "found", None, None, extra
 
 
+@subcommand("certify", arg("--kind"), arg("--eta"),
+            fixture=lambda g: (["--graph", g(cons.chvatal_extremal(8, 3)),
+                                "--kind", "chvatal"], "fails"))
 def cmd_certify(args):
     g = _load(args)
     eta = parse_rational(args.eta) if args.eta else None
@@ -372,6 +442,9 @@ def cmd_certify(args):
     return ("holds" if cert.satisfied else "fails"), None, None, extra
 
 
+@subcommand("hamilton", cap=True,
+            fixture=lambda g: (["--graph", g(cons.chvatal_extremal(8, 3))],
+                               "none"))
 def cmd_hamilton(args):
     g = _load(args)
     cycle = hamilton_oracle(g, cap=args.cap or HAMILTON_CAP)
@@ -380,6 +453,9 @@ def cmd_hamilton(args):
     return "found", None, None, {"cycle": list(cycle)}
 
 
+@subcommand("oriented-hamilton", arg("--pattern"), cap=True,
+            fixture=lambda g: (["--graph", g(cons.antidirected_counterexample(1)),
+                                "--pattern", "fb" * 6], "none"))
 def cmd_oriented_hamilton(args):
     g = _load(args, "digraph")
     res = oriented_hamilton_oracle(g, OrientedPattern(args.pattern),
@@ -388,6 +464,10 @@ def cmd_oriented_hamilton(args):
     return res.status, None, None, extra
 
 
+@subcommand("oriented-path", *_SOURCE_TARGET, arg("--pattern"), cap=True,
+            fixture=lambda g: (["--graph", g(Digraph.directed_cycle(5)),
+                                "--source", "0", "--target", "2",
+                                "--pattern", "ff"], "found"))
 def cmd_oriented_path(args):
     g = _load(args, "digraph")
     path = find_oriented_path(g, args.source, args.target, args.pattern,
@@ -397,6 +477,9 @@ def cmd_oriented_path(args):
     return "found", None, None, {"path": list(path)}
 
 
+@subcommand("matching", *_LEFT_RIGHT,
+            fixture=lambda g: (["--graph", g(Graph.complete_bipartite(3, 3)),
+                                "--left", "0-2", "--right", "3-5"], "found"))
 def cmd_matching(args):
     g = _load(args, "graph")
     a = parse_vertex_set(args.left)
@@ -415,6 +498,8 @@ def cmd_matching(args):
     return "none", {"hall_violator": violator}, None, {}
 
 
+@subcommand("one-factor",
+            fixture=lambda g: (["--graph", g(cons.haggkvist_graph(3))], "none"))
 def cmd_one_factor(args):
     g = _load(args, "digraph")
     res = one_factor(g)
@@ -423,6 +508,8 @@ def cmd_one_factor(args):
     return "found", None, None, {"cycles": [list(c) for c in res.cycles]}
 
 
+@subcommand("rotation-hamilton",
+            fixture=lambda g: (["--graph", g(Digraph.complete(6))], "found"))
 def cmd_rotation_hamilton(args):
     g = _load(args, "digraph")
     res = rotation_extension_hamilton(g)
@@ -432,6 +519,10 @@ def cmd_rotation_hamilton(args):
                                 "detail": res.detail}
 
 
+@subcommand("expander", arg("--nu"), arg("--tau"),
+            arg("--mode", choices=["out", "in", "di"], default="out"), cap=True,
+            fixture=lambda g: (["--graph", g(Digraph.complete(10)), "--nu", "1/10",
+                                "--tau", "1/5", "--mode", "out"], "holds"))
 def cmd_expander(args):
     g = _load(args, "digraph")
     spec = ExpansionSpec(parse_rational(args.nu), parse_rational(args.tau),
@@ -442,6 +533,11 @@ def cmd_expander(args):
         "checked_sets": verdict.checked_sets, "visited": verdict.visited}
 
 
+@subcommand("rn", arg("--set"), arg("--nu"),
+            arg("--direction", choices=["out", "in"], default="out"),
+            fixture=lambda g: (["--graph", g(Digraph.directed_cycle(8)),
+                                "--set", "0-3", "--nu", "1/8",
+                                "--direction", "out"], "found"))
 def cmd_rn(args):
     g = _load(args, "digraph")
     s = parse_vertex_set(args.set)
@@ -463,6 +559,10 @@ def _hamiltonian_factor_context(g: Digraph) -> FactorContext:
     return FactorContext(g, (cycle,))
 
 
+@subcommand("shifted-walk", *_SOURCE_TARGET, arg("--avoid"),
+            arg("--tmax", type=int),
+            fixture=lambda g: (["--graph", g(Digraph.complete(5)),
+                                "--source", "0", "--target", "2"], "found"))
 def cmd_shifted_walk(args):
     g = _load(args, "digraph")
     ctx = _factor_context(g)
@@ -476,6 +576,9 @@ def cmd_shifted_walk(args):
                                  "cycles_traversed": walk.cycles_traversed}
 
 
+@subcommand("skewed-traverse", *_SOURCE_TARGET,
+            fixture=lambda g: (["--graph", g(Digraph.complete(5)),
+                                "--source", "0", "--target", "2"], "found"))
 def cmd_skewed_traverse(args):
     g = _load(args, "digraph")
     ctx = _hamiltonian_factor_context(g)
@@ -486,6 +589,13 @@ def cmd_skewed_traverse(args):
                                  "length": tr.length}
 
 
+@subcommand("rebalance", arg("--counts"), arg("--slots"),
+            arg("--m", type=int), arg("--over", type=int), arg("--under", type=int),
+            arg("--mode", choices=["traverse", "walk"], default="traverse"),
+            fixture=lambda g: (["--graph", g(Digraph.complete(4)),
+                                "--counts", "5,3,4,4", "--slots", "2,2,2,2",
+                                "--m", "4", "--over", "0", "--under", "1"],
+                               "found"))
 def cmd_rebalance(args):
     g = _load(args, "digraph")
     ctx = _hamiltonian_factor_context(g)
@@ -509,6 +619,8 @@ def cmd_rebalance(args):
     return "found", None, None, extra
 
 
+@subcommand("ex-number", arg("--n", type=int), arg("--h"), graph=False,
+            cap=True, fixture=lambda g: (["--n", "5", "--h", "K3"], "6"))
 def cmd_ex_number(args):
     h = parse_pattern_graph(args.h)
     value, witness = extremal_number(args.n, h, cap=args.cap or EXTREMAL_CAP)
@@ -516,6 +628,8 @@ def cmd_ex_number(args):
     return str(value), None, None, {"witness_edges": edges}
 
 
+@subcommand("ramsey", arg("--h"), arg("--nmax", type=int, default=7),
+            graph=False, fixture=lambda g: (["--h", "K3", "--nmax", "6"], "6"))
 def cmd_ramsey(args):
     h = parse_pattern_graph(args.h)
     res = ramsey_oracle(h, n_max=args.nmax)
@@ -527,6 +641,9 @@ def cmd_ramsey(args):
     return str(res.value), None, None, extra
 
 
+@subcommand("packing", arg("--f"), cap=True,
+            fixture=lambda g: (["--graph", g(cons.c6_sharpness_graph(12)),
+                                "--f", "C6"], "none"))
 def cmd_packing(args):
     g = _load(args, "graph")
     f = parse_pattern_graph(args.f)
@@ -536,6 +653,12 @@ def cmd_packing(args):
     return "none", None, None, {}
 
 
+@subcommand("embed", arg("--h"), arg("--clusters"), arg("--eps"), arg("--d"),
+            arg("--s", type=int, default=1), seed=True, cap=True,
+            fixture=lambda g: (["--graph", g(blow_up(Graph.complete(3), 8)),
+                                "--h", "K3", "--clusters", "0-7;8-15;16-23",
+                                "--eps", "1/100", "--d", "1/2", "--s", "1"],
+                               "found"))
 def cmd_embed(args):
     g = _load(args, "graph")
     h = parse_pattern_graph(args.h)
@@ -563,6 +686,9 @@ def cmd_embed(args):
                                 "candidate_sizes": list(result.candidate_sizes)}
 
 
+@subcommand("oracle-embed", arg("--h"), cap=True,
+            fixture=lambda g: (["--graph", g(Graph.cycle(5)), "--h", "K3"],
+                               "none"))
 def cmd_oracle_embed(args):
     g = _load(args)
     if isinstance(g, Digraph):
@@ -575,10 +701,15 @@ def cmd_oracle_embed(args):
 
 
 # ---------------------------------------------------------------------------
-# self-tests: one pinned fixture per subcommand
+# self-tests, argument parsing and dispatch
 # ---------------------------------------------------------------------------
 
-def selftest(command: str, run) -> int:
+def _fixture_graph(g: Graph | Digraph) -> str:
+    write_graph_file("g.txt", g)
+    return "g.txt"
+
+
+def selftest(command: str) -> int:
     """Run the pinned fixture for ``command``; 0 on success, 1 on failure.
 
     The fixture runs inside a temporary working directory and names its
@@ -589,126 +720,10 @@ def selftest(command: str, run) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         try:
-            return run(_selftest_argv(command))
+            argv, expected = SUBCOMMANDS[command].fixture(_fixture_graph)
+            return run([command, *argv, "--expect", expected])
         finally:
             os.chdir(cwd)
-
-
-def _selftest_argv(command: str) -> list[str]:
-    """The pinned fixture's argv, writing its graph file to g.txt."""
-    def path_of(g):
-        write_graph_file("g.txt", g)
-        return "g.txt"
-
-    fixtures = {
-        "construct": lambda: (["construct", "haggkvist", "--m", "3"], "found"),
-        "density": lambda: (["density", "--graph",
-                             path_of(Graph.complete_bipartite(3, 3)),
-                             "--left", "0-2", "--right", "3-5"], "1/1"),
-        "check-regular": lambda: (["check-regular", "--graph",
-                                   path_of(cons.half_graph(6)),
-                                   "--left", "0-5", "--right", "6-11",
-                                   "--eps", "1/4"], "fails"),
-        "check-superregular": lambda: (["check-superregular", "--graph",
-                                        path_of(Graph.complete_bipartite(4, 4)),
-                                        "--left", "0-3", "--right", "4-7",
-                                        "--eps", "1/10", "--d", "1/2"], "holds"),
-        "partition": lambda: (["partition", "--graph",
-                               path_of(Graph.complete(12)),
-                               "--eps", "0.45", "--k0", "2"], "found"),
-        "degree-form": lambda: (["degree-form", "--graph",
-                                 path_of(Graph.complete(12)),
-                                 "--eps", "0.45", "--d", "0.05",
-                                 "--k0", "2"], "holds"),
-        "reduce": lambda: (["reduce", "--graph", path_of(Graph.complete(12)),
-                            "--eps", "0.45", "--d", "0.05", "--k0", "2"],
-                           "found"),
-        "certify": lambda: (["certify", "--graph",
-                             path_of(cons.chvatal_extremal(8, 3)),
-                             "--kind", "chvatal"], "fails"),
-        "hamilton": lambda: (["hamilton", "--graph",
-                              path_of(cons.chvatal_extremal(8, 3))], "none"),
-        "oriented-hamilton": lambda: (["oriented-hamilton", "--graph",
-                                       path_of(cons.antidirected_counterexample(1)),
-                                       "--pattern", "fb" * 6], "none"),
-        "oriented-path": lambda: (["oriented-path", "--graph",
-                                   path_of(Digraph.directed_cycle(5)),
-                                   "--source", "0", "--target", "2",
-                                   "--pattern", "ff"], "found"),
-        "matching": lambda: (["matching", "--graph",
-                              path_of(Graph.complete_bipartite(3, 3)),
-                              "--left", "0-2", "--right", "3-5"], "found"),
-        "one-factor": lambda: (["one-factor", "--graph",
-                                path_of(cons.haggkvist_graph(3))], "none"),
-        "rotation-hamilton": lambda: (["rotation-hamilton", "--graph",
-                                       path_of(Digraph.complete(6))], "found"),
-        "expander": lambda: (["expander", "--graph",
-                              path_of(Digraph.complete(10)),
-                              "--nu", "1/10", "--tau", "1/5",
-                              "--mode", "out"], "holds"),
-        "rn": lambda: (["rn", "--graph", path_of(Digraph.directed_cycle(8)),
-                        "--set", "0-3", "--nu", "1/8",
-                        "--direction", "out"], "found"),
-        "shifted-walk": lambda: (["shifted-walk", "--graph",
-                                  path_of(Digraph.complete(5)),
-                                  "--source", "0", "--target", "2"], "found"),
-        "skewed-traverse": lambda: (["skewed-traverse", "--graph",
-                                     path_of(Digraph.complete(5)),
-                                     "--source", "0", "--target", "2"],
-                                    "found"),
-        "rebalance": lambda: (["rebalance", "--graph",
-                               path_of(Digraph.complete(4)),
-                               "--counts", "5,3,4,4", "--slots", "2,2,2,2",
-                               "--m", "4", "--over", "0", "--under", "1"],
-                              "found"),
-        "ex-number": lambda: (["ex-number", "--n", "5", "--h", "K3"], "6"),
-        "ramsey": lambda: (["ramsey", "--h", "K3", "--nmax", "6"], "6"),
-        "packing": lambda: (["packing", "--graph",
-                             path_of(cons.c6_sharpness_graph(12)),
-                             "--f", "C6"], "none"),
-        "embed": lambda: (["embed", "--graph", path_of(blow_up(Graph.complete(3), 8)),
-                           "--h", "K3",
-                           "--clusters", "0-7;8-15;16-23",
-                           "--eps", "1/100", "--d", "1/2", "--s", "1"],
-                          "found"),
-        "oracle-embed": lambda: (["oracle-embed", "--graph",
-                                  path_of(Graph.cycle(5)), "--h", "K3"],
-                                 "none"),
-    }
-    argv, expected = fixtures[command]()
-    return argv + ["--expect", expected]
-
-
-# ---------------------------------------------------------------------------
-# argument parsing and dispatch
-# ---------------------------------------------------------------------------
-
-HANDLERS = {
-    "construct": cmd_construct,
-    "density": cmd_density,
-    "check-regular": cmd_check_regular,
-    "check-superregular": cmd_check_superregular,
-    "partition": cmd_partition,
-    "degree-form": cmd_degree_form,
-    "reduce": cmd_reduce,
-    "certify": cmd_certify,
-    "hamilton": cmd_hamilton,
-    "oriented-hamilton": cmd_oriented_hamilton,
-    "oriented-path": cmd_oriented_path,
-    "matching": cmd_matching,
-    "one-factor": cmd_one_factor,
-    "rotation-hamilton": cmd_rotation_hamilton,
-    "expander": cmd_expander,
-    "rn": cmd_rn,
-    "shifted-walk": cmd_shifted_walk,
-    "skewed-traverse": cmd_skewed_traverse,
-    "rebalance": cmd_rebalance,
-    "ex-number": cmd_ex_number,
-    "ramsey": cmd_ramsey,
-    "packing": cmd_packing,
-    "embed": cmd_embed,
-    "oracle-embed": cmd_oracle_embed,
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -716,124 +731,23 @@ def build_parser() -> argparse.ArgumentParser:
                                   description="regularity / expansion / "
                                               "Hamiltonicity laboratory")
     sub = top.add_subparsers(dest="command", required=True)
-
-    def common(p, graph=True):
-        if graph:
-            p.add_argument("graph_pos", nargs="?", default=None,
-                           metavar="GRAPH_FILE")
-            p.add_argument("--graph", required=False)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--cap", type=int, default=None)
-        p.add_argument("--expect", choices=None, default=None)
+    for name, cmd in SUBCOMMANDS.items():
+        p = sub.add_parser(name)
+        for flags, kwargs in cmd.arguments:
+            p.add_argument(*flags, **kwargs)
+        # the shared options come last: reports list parameters in this order
+        if cmd.graph:
+            p.add_argument("graph_pos", nargs="?", metavar="GRAPH_FILE")
+            p.add_argument("--graph")
+        if cmd.seed:
+            p.add_argument("--seed", type=int)
+        if cmd.cap:
+            p.add_argument("--cap", type=int)
+        p.add_argument("--expect")
         p.add_argument("--timing", action="store_true")
         p.add_argument("--selftest", action="store_true")
-        p.add_argument("-o", "--output", default=None)
-
-    p = sub.add_parser("construct")
-    p.add_argument("family", nargs="?")
-    for flag, typ in (("--n", int), ("--r", int), ("--m", int), ("--a", int),
-                      ("--b", int)):
-        p.add_argument(flag, type=typ, default=None)
-    p.add_argument("--p", type=float, default=None)
-    common(p, graph=False)
-
-    p = sub.add_parser("density")
-    p.add_argument("--left"), p.add_argument("--right")
-    common(p)
-
-    for name in ("check-regular", "check-superregular"):
-        p = sub.add_parser(name)
-        p.add_argument("--left", default=None)
-        p.add_argument("--right", default=None)
-        p.add_argument("--eps", required=False)
-        p.add_argument("--d", default=None)
-        p.add_argument("--sampled", action="store_true")
-        common(p)
-
-    p = sub.add_parser("partition")
-    p.add_argument("--eps"), p.add_argument("--k0", type=int)
-    common(p)
-
-    for name in ("degree-form", "reduce"):
-        p = sub.add_parser(name)
-        p.add_argument("--eps"), p.add_argument("--d"), p.add_argument("--k0", type=int)
-        common(p)
-
-    p = sub.add_parser("certify")
-    p.add_argument("--kind"), p.add_argument("--eta", default=None)
-    common(p)
-
-    p = sub.add_parser("hamilton")
-    common(p)
-
-    p = sub.add_parser("oriented-hamilton")
-    p.add_argument("--pattern")
-    common(p)
-
-    p = sub.add_parser("oriented-path")
-    p.add_argument("--source", type=int), p.add_argument("--target", type=int)
-    p.add_argument("--pattern")
-    common(p)
-
-    p = sub.add_parser("matching")
-    p.add_argument("--left"), p.add_argument("--right")
-    common(p)
-
-    p = sub.add_parser("one-factor")
-    common(p)
-
-    p = sub.add_parser("rotation-hamilton")
-    common(p)
-
-    p = sub.add_parser("expander")
-    p.add_argument("--nu"), p.add_argument("--tau")
-    p.add_argument("--mode", choices=["out", "in", "di"], default="out")
-    common(p)
-
-    p = sub.add_parser("rn")
-    p.add_argument("--set"), p.add_argument("--nu")
-    p.add_argument("--direction", choices=["out", "in"], default="out")
-    common(p)
-
-    p = sub.add_parser("shifted-walk")
-    p.add_argument("--source", type=int), p.add_argument("--target", type=int)
-    p.add_argument("--avoid", default=None)
-    p.add_argument("--tmax", type=int, default=None)
-    common(p)
-
-    p = sub.add_parser("skewed-traverse")
-    p.add_argument("--source", type=int), p.add_argument("--target", type=int)
-    common(p)
-
-    p = sub.add_parser("rebalance")
-    p.add_argument("--counts"), p.add_argument("--slots")
-    p.add_argument("--m", type=int)
-    p.add_argument("--over", type=int), p.add_argument("--under", type=int)
-    p.add_argument("--mode", choices=["traverse", "walk"], default="traverse")
-    common(p)
-
-    p = sub.add_parser("ex-number")
-    p.add_argument("--n", type=int), p.add_argument("--h")
-    common(p, graph=False)
-
-    p = sub.add_parser("ramsey")
-    p.add_argument("--h"), p.add_argument("--nmax", type=int, default=7)
-    common(p, graph=False)
-
-    p = sub.add_parser("packing")
-    p.add_argument("--f")
-    common(p)
-
-    p = sub.add_parser("embed")
-    p.add_argument("--h"), p.add_argument("--clusters")
-    p.add_argument("--eps"), p.add_argument("--d")
-    p.add_argument("--s", type=int, default=1)
-    common(p)
-
-    p = sub.add_parser("oracle-embed")
-    p.add_argument("--h")
-    common(p)
-
+        if cmd.output:
+            p.add_argument("-o", "--output")
     return top
 
 
@@ -845,12 +759,12 @@ def run(argv: Sequence[str]) -> int:
         return 2
     try:
         thread_cap()
-        if getattr(args, "selftest", False):
-            return selftest(args.command, run)
+        if args.selftest:
+            return selftest(args.command)
         start = time.perf_counter()
-        verdict, witness, audit, extra = HANDLERS[args.command](args)
+        verdict, witness, audit, extra = SUBCOMMANDS[args.command].handler(args)
         runtime = (int((time.perf_counter() - start) * 1000)
-                   if getattr(args, "timing", False) else None)
+                   if args.timing else None)
         params = {k: v for k, v in vars(args).items()
                   if k not in ("command", "expect", "timing", "selftest")
                   and v is not None}

@@ -18,9 +18,8 @@ def turan_graph(n: int, r: int) -> Graph:
     """Complete (r-1)-partite graph on n vertices with near-equal classes."""
     if r < 2:
         raise GraphError("Turan graph needs r >= 2")
-    if n < 0:
-        raise GraphError("n must be nonnegative")
-    parts = r - 1
+    _check_order(n)
+    parts = min(r - 1, max(n, 1))  # classes beyond n would all be empty
     base, extra = divmod(n, parts)
     sizes = [base + 1] * extra + [base] * (parts - extra)
     g = Graph.complete_multipartite([s for s in sizes if s > 0] or [0])
@@ -34,10 +33,11 @@ def turan_count(n: int, r: int) -> int:
     """Number of edges of the Turan graph, checked against the closed form."""
     if r < 2:
         raise GraphError("Turan count needs r >= 2")
-    parts = r - 1
+    if n < 0:
+        raise GraphError("n must be nonnegative")
+    parts = min(r - 1, max(n, 1))  # classes beyond n would all be empty
     base, extra = divmod(n, parts)
-    sizes = [base + 1] * extra + [base] * (parts - extra)
-    count = (n * n - sum(s * s for s in sizes)) // 2
+    count = (n * n - extra * (base + 1) ** 2 - (parts - extra) * base ** 2) // 2
     assert Fraction(count) <= Fraction(r - 2, r - 1) * n * n / 2
     return count
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence, Union
+from typing import ClassVar, Iterable, Iterator, Sequence, TypeVar, Union
 
 #: Hard cap on graph order.  Everything in this package is desk-scale; the
 #: cap mostly guards against accidentally huge bit-set allocations.
@@ -88,12 +88,20 @@ def _check_order(n: int) -> None:
         raise GraphError(f"vertex count {n} exceeds cap {MAX_VERTICES}")
 
 
+_G = TypeVar("_G", bound="_BitRows")
+
+
 @dataclass(frozen=True)
-class Graph:
-    """Undirected simple graph over vertices 0..n-1, rows as neighbour bit-sets."""
+class _BitRows:
+    """Rows as neighbour bit-sets over vertices 0..n-1: the plumbing Graph and
+    Digraph share.  Subclasses stay distinct types, so a Graph never equals a
+    Digraph with the same rows."""
 
     n: int
     rows: tuple[int, ...]
+
+    #: rows must be symmetric, and ``from_edges`` adds each edge both ways
+    _symmetric: ClassVar[bool] = False
 
     def __post_init__(self) -> None:
         _check_order(self.n)
@@ -105,36 +113,83 @@ class Graph:
                 raise GraphError(f"row {u} mentions vertices outside 0..n-1")
             if row >> u & 1:
                 raise GraphError(f"loop at vertex {u}")
-        for u in range(self.n):
-            for v in bits(self.rows[u]):
-                if not self.rows[v] >> u & 1:
-                    raise GraphError(f"adjacency not symmetric at ({u},{v})")
+        if self._symmetric:
+            for u in range(self.n):
+                for v in bits(self.rows[u]):
+                    if not self.rows[v] >> u & 1:
+                        raise GraphError(f"adjacency not symmetric at ({u},{v})")
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
+    def from_edges(cls: type[_G], n: int, edges: Iterable[tuple[int, int]]) -> _G:
         _check_order(n)  # before allocating n rows
         rows = [0] * n
+        symmetric = cls._symmetric
         for u, v in edges:
             if u == v:
                 raise GraphError(f"loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise GraphError(f"edge ({u},{v}) outside 0..{n - 1}")
             rows[u] |= 1 << v
-            rows[v] |= 1 << u
+            if symmetric:
+                rows[v] |= 1 << u
         return cls(n, tuple(rows))
 
     @classmethod
-    def empty(cls, n: int) -> "Graph":
+    def empty(cls: type[_G], n: int) -> _G:
         _check_order(n)
         return cls(n, (0,) * n)
 
     @classmethod
-    def complete(cls, n: int) -> "Graph":
+    def complete(cls: type[_G], n: int) -> _G:
         _check_order(n)
         fm = full_mask(n)
         return cls(n, tuple(fm ^ (1 << v) for v in range(n)))
+
+    # -- accessors ---------------------------------------------------------
+
+    def has_edge(self, u: int, v: int) -> bool:
+        return bool(self.rows[u] >> v & 1)
+
+    def vertices_mask(self) -> int:
+        return full_mask(self.n)
+
+    # -- operations --------------------------------------------------------
+
+    def induced(self: _G, subset: int) -> tuple[_G, tuple[int, ...]]:
+        """Induced subgraph on the bit-set ``subset``, relabelled 0..|S|-1.
+
+        Returns the subgraph together with the label map: entry i is the
+        original vertex now called i.
+        """
+        labels = tuple(bits(subset))
+        if not labels:
+            raise GraphError("induced subgraph of empty set")
+        index = {v: i for i, v in enumerate(labels)}
+        rows = []
+        for v in labels:
+            row = 0
+            for w in bits(self.rows[v] & subset):
+                row |= 1 << index[w]
+            rows.append(row)
+        return type(self)(len(labels), tuple(rows)), labels
+
+    def relabel(self: _G, perm: Sequence[int]) -> _G:
+        """Image under ``perm`` (old vertex v becomes perm[v])."""
+        rows = [0] * self.n
+        for u in range(self.n):
+            for v in bits(self.rows[u]):
+                rows[perm[u]] |= 1 << perm[v]
+        return type(self)(self.n, tuple(rows))
+
+
+class Graph(_BitRows):
+    """Undirected simple graph over vertices 0..n-1, rows as neighbour bit-sets."""
+
+    _symmetric = True
+
+    # -- constructors ------------------------------------------------------
 
     @classmethod
     def cycle(cls, n: int) -> "Graph":
@@ -171,9 +226,6 @@ class Graph:
 
     # -- accessors ---------------------------------------------------------
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.rows[u] >> v & 1)
-
     def degree(self, v: int) -> int:
         return popcount(self.rows[v])
 
@@ -190,40 +242,11 @@ class Graph:
     def max_degree(self) -> int:
         return max((popcount(r) for r in self.rows), default=0)
 
-    def vertices_mask(self) -> int:
-        return full_mask(self.n)
-
     # -- operations --------------------------------------------------------
 
     def complement(self) -> "Graph":
         fm = full_mask(self.n)
         return Graph(self.n, tuple((fm ^ r) & ~(1 << v) for v, r in enumerate(self.rows)))
-
-    def induced(self, subset: int) -> tuple["Graph", tuple[int, ...]]:
-        """Induced subgraph on the bit-set ``subset``, relabelled 0..|S|-1.
-
-        Returns the subgraph together with the label map: entry i is the
-        original vertex now called i.
-        """
-        labels = tuple(bits(subset))
-        if not labels:
-            raise GraphError("induced subgraph of empty set")
-        index = {v: i for i, v in enumerate(labels)}
-        rows = []
-        for v in labels:
-            row = 0
-            for w in bits(self.rows[v] & subset):
-                row |= 1 << index[w]
-            rows.append(row)
-        return Graph(len(labels), tuple(rows)), labels
-
-    def relabel(self, perm: Sequence[int]) -> "Graph":
-        """Image of the graph under ``perm`` (old vertex v becomes perm[v])."""
-        rows = [0] * self.n
-        for u in range(self.n):
-            for v in bits(self.rows[u]):
-                rows[perm[u]] |= 1 << perm[v]
-        return Graph(self.n, tuple(rows))
 
     def add_vertex(self, neighbours: int) -> "Graph":
         """New graph with vertex n joined to the bit-set ``neighbours``."""
@@ -245,48 +268,10 @@ class Graph:
         return seen == full_mask(self.n)
 
 
-@dataclass(frozen=True)
-class Digraph:
+class Digraph(_BitRows):
     """Directed simple graph; ``rows[u]`` is the out-neighbourhood bit-set."""
 
-    n: int
-    rows: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        _check_order(self.n)
-        if len(self.rows) != self.n:
-            raise GraphError("row count does not match vertex count")
-        fm = full_mask(self.n)
-        for u, row in enumerate(self.rows):
-            if row & ~fm:
-                raise GraphError(f"row {u} mentions vertices outside 0..n-1")
-            if row >> u & 1:
-                raise GraphError(f"loop at vertex {u}")
-
     # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Digraph":
-        _check_order(n)  # before allocating n rows
-        rows = [0] * n
-        for u, v in edges:
-            if u == v:
-                raise GraphError(f"loop at vertex {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise GraphError(f"edge ({u},{v}) outside 0..{n - 1}")
-            rows[u] |= 1 << v
-        return cls(n, tuple(rows))
-
-    @classmethod
-    def empty(cls, n: int) -> "Digraph":
-        _check_order(n)
-        return cls(n, (0,) * n)
-
-    @classmethod
-    def complete(cls, n: int) -> "Digraph":
-        _check_order(n)
-        fm = full_mask(n)
-        return cls(n, tuple(fm ^ (1 << v) for v in range(n)))
 
     @classmethod
     def directed_cycle(cls, n: int) -> "Digraph":
@@ -304,9 +289,6 @@ class Digraph:
             for v in bits(self.rows[u]):
                 rows[v] |= 1 << u
         return tuple(rows)
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.rows[u] >> v & 1)
 
     def out_degree(self, v: int) -> int:
         return popcount(self.rows[v])
@@ -329,9 +311,6 @@ class Digraph:
         return min(min(popcount(r) for r in self.rows),
                    min(popcount(r) for r in self.in_rows))
 
-    def vertices_mask(self) -> int:
-        return full_mask(self.n)
-
     def is_oriented(self) -> bool:
         """True iff no 2-cycles, i.e. the digraph orients a simple graph."""
         return all(not (self.rows[u] >> v & 1 and self.rows[v] >> u & 1)
@@ -344,26 +323,6 @@ class Digraph:
             for u in range(self.n))
 
     # -- operations --------------------------------------------------------
-
-    def induced(self, subset: int) -> tuple["Digraph", tuple[int, ...]]:
-        labels = tuple(bits(subset))
-        if not labels:
-            raise GraphError("induced subgraph of empty set")
-        index = {v: i for i, v in enumerate(labels)}
-        rows = []
-        for v in labels:
-            row = 0
-            for w in bits(self.rows[v] & subset):
-                row |= 1 << index[w]
-            rows.append(row)
-        return Digraph(len(labels), tuple(rows)), labels
-
-    def relabel(self, perm: Sequence[int]) -> "Digraph":
-        rows = [0] * self.n
-        for u in range(self.n):
-            for v in bits(self.rows[u]):
-                rows[perm[u]] |= 1 << perm[v]
-        return Digraph(self.n, tuple(rows))
 
     def add_vertex(self, out_mask: int, in_mask: int) -> "Digraph":
         rows = [r | ((in_mask >> v & 1) << self.n) for v, r in enumerate(self.rows)]

@@ -171,6 +171,8 @@ def _scan_pair(host, a_mask: int, b_mask: int, eps: Fraction,
     la, lb = len(a_members), len(b_members)
     smin_a = max(1, least_count_at_least(eps * la))
     smin_b = max(1, least_count_at_least(eps * lb))
+    if smin_a > la or smin_b > lb:
+        return _verdict(None, 0, False)  # no (X, Y) qualifies (eps > 1)
     num, den = target.numerator, target.denominator
     p, q = eps.numerator, eps.denominator
     cols = _columns(host, a_members, b_members, directed_into_b)

@@ -18,7 +18,7 @@ from conftest import record_acceptance
 from reglab import constructions as cons
 from reglab.embedding import (extremal_graphs, packing_oracle, ramsey_oracle,
                               subgraph_oracle)
-from reglab.enumeration import enumerate_graphs, enumerate_tournaments, isomorphic
+from reglab.enumeration import isomorphic
 from reglab.expansion import ExpansionSpec, check_expander, robust_neighbourhood
 from reglab.graphs import (Digraph, Graph, bits, density, edges_between,
                            full_mask, mask_of, popcount)
@@ -48,12 +48,12 @@ def _elapsed(t0: float) -> str:
 # 1. Chvatal soundness
 # ---------------------------------------------------------------------------
 
-def test_criterion_1_chvatal_soundness():
+def test_criterion_1_chvatal_soundness(small_graphs):
     t0 = time.time()
     checked = 0
     connected_counts = {3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
     for n in range(3, 8):
-        graphs = [g for g in enumerate_graphs(n) if g.is_connected()]
+        graphs = [g for g in small_graphs(n) if g.is_connected()]
         assert len(graphs) == connected_counts[n]
         for g in graphs:
             if certify(g, "chvatal").satisfied:
@@ -346,12 +346,12 @@ def _revalidate_violator(d, spec, violator):
     return False
 
 
-def test_criterion_9_robust_expansion_suite():
+def test_criterion_9_robust_expansion_suite(small_tournaments):
     t0 = time.time()
     # (a) exhaustive over all tournaments n <= 7 plus 300 random digraphs
     violators = holds = 0
     for n in range(3, 8):
-        for tmt in enumerate_tournaments(n):
+        for tmt in small_tournaments(n):
             spec = ExpansionSpec(F(1, n), F(1, 3), "out")
             v = check_expander(tmt, spec)
             if v.holds:

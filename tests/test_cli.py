@@ -1,5 +1,8 @@
 """CLI surface: file formats, reports, exit codes, self-tests."""
 
+import contextlib
+import hashlib
+import io
 import json
 import os
 
@@ -68,7 +71,11 @@ def test_reports_byte_identical(tmp_path, capsys):
     report = json.loads(first)
     assert report["command"] == "certify"
     assert report["verdict"] == "fails"
-    assert report["runtime_ms"] == 0  # deterministic unless --timing
+    assert "runtime_ms" not in report  # wall-clock time only under --timing
+    assert run(["certify", "--graph", path, "--kind", "chvatal", "--timing"]) == 0
+    timed = json.loads(capsys.readouterr().out)
+    assert isinstance(timed.pop("runtime_ms"), int)
+    assert timed == report
 
 
 def test_seeded_commands_reproducible(tmp_path, capsys):
@@ -104,6 +111,63 @@ def test_huge_graph_header_exits_two(tmp_path, capsys):
 def test_huge_construct_exits_two(capsys):
     assert run(["construct", "complete", "--n", str(10 ** 18)]) == 2
     assert "exceeds cap" in capsys.readouterr().err
+
+
+#: sha256 (first 16 hex digits) of each subcommand's --selftest stdout
+SELFTEST_DIGESTS = {
+    "construct": "e78c57761c293888",
+    "density": "0b6730f47a49c0de",
+    "check-regular": "77cdea6a64789e42",
+    "check-superregular": "05d321608362d1a3",
+    "partition": "c81c797048f911ae",
+    "degree-form": "bb28437647187e69",
+    "reduce": "74b61c46313eb4b6",
+    "certify": "d11d99f0a82da557",
+    "hamilton": "3e5f8d565d674894",
+    "oriented-hamilton": "f9b5756be5ad76ba",
+    "oriented-path": "e6b9ae5045d4028c",
+    "matching": "8ee3cad511e7b638",
+    "one-factor": "ba188948c3d36096",
+    "rotation-hamilton": "acf6d61e9062d3fe",
+    "expander": "63ff7d865a3dd01f",
+    "rn": "dab6adc8ddc2bbec",
+    "shifted-walk": "49c97b19aa29f12b",
+    "skewed-traverse": "8952f1485c8f7274",
+    "rebalance": "789b61923771a65c",
+    "ex-number": "76a2bfceaeefcd26",
+    "ramsey": "9a116eed3d3a16bb",
+    "packing": "d403417636738963",
+    "embed": "77d1a53f34f09649",
+    "oracle-embed": "12b7ee8b0f023735",
+}
+
+
+def test_selftest_reports_pinned():
+    assert list(SELFTEST_DIGESTS) == ALL_COMMANDS
+    for command, digest in SELFTEST_DIGESTS.items():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert run([command, "--selftest"]) == 0
+        got = hashlib.sha256(out.getvalue().encode()).hexdigest()[:16]
+        assert got == digest, command
+
+
+def test_unread_flags_are_usage_errors(tmp_path):
+    # --seed, --cap and -o exist only on the subcommands whose handler reads them
+    path = str(tmp_path / "g.txt")
+    write_graph_file(path, Graph.complete(4))
+    assert run(["hamilton", "--graph", path, "--seed", "1"]) == 2
+    assert run(["density", "--graph", path, "--left", "0-1", "--right", "2-3",
+                "-o", str(tmp_path / "x")]) == 2
+    assert run(["matching", "--graph", path, "--left", "0-1", "--right", "2-3",
+                "--cap", "3"]) == 2
+    assert run(["hamilton", "--graph", path, "--cap", "20"]) == 0
+    assert not (tmp_path / "x").exists()
+
+
+def test_construct_turan_with_huge_r(capsys):
+    assert run(["construct", "turan", "--n", "5", "--r", str(10 ** 18)]) == 0
+    assert json.loads(capsys.readouterr().out)["edges"] == 10
 
 
 def test_selftest_report_byte_identical(capsys):

@@ -1,5 +1,6 @@
 """Named graph families and their audited properties."""
 
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,23 @@ def test_turan_t5_9():
 def test_turan_single_class_edgeless():
     assert cons.turan_count(7, 2) == 0
     assert cons.turan_graph(7, 2).edge_count == 0
+
+
+def test_turan_bounds_classes_by_n():
+    # T(n, r-1) with r - 1 >= n is K_n; a list of r - 1 class sizes built
+    # before bounding r by n takes 8 bytes a class, megabytes here
+    tracemalloc.start()
+    try:
+        assert cons.turan_graph(5, 10 ** 6) == Graph.complete(5)
+        assert cons.turan_count(5, 10 ** 6) == 10
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+    assert cons.turan_graph(0, 10 ** 6) == Graph.empty(0)
+    assert cons.turan_count(0, 10 ** 6) == 0
+    with pytest.raises(GraphError):
+        cons.turan_count(-3, 3)
 
 
 def test_turan_bound_tight_when_divisible():

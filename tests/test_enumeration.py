@@ -26,13 +26,13 @@ def test_counts_match_independent_brute_force():
 
 
 @pytest.mark.parametrize("n", range(8))
-def test_graph_class_counts(n):
-    assert len(enumerate_graphs(n)) == GRAPH_CLASS_COUNTS[n]
+def test_graph_class_counts(n, small_graphs):
+    assert len(small_graphs(n)) == GRAPH_CLASS_COUNTS[n]
 
 
 @pytest.mark.parametrize("n", range(8))
-def test_tournament_class_counts(n):
-    assert len(enumerate_tournaments(n)) == TOURNAMENT_CLASS_COUNTS[n]
+def test_tournament_class_counts(n, small_tournaments):
+    assert len(small_tournaments(n)) == TOURNAMENT_CLASS_COUNTS[n]
 
 
 def test_canonical_form_invariant_under_relabeling():
@@ -78,8 +78,8 @@ def _triangle_free(g: Graph) -> bool:
     return True
 
 
-def test_connected_counts():
+def test_connected_counts(small_graphs):
     connected = [1, 1, 2, 6, 21, 112, 853]  # n = 1..7
     for n in range(1, 8):
-        got = sum(1 for g in enumerate_graphs(n) if g.is_connected())
+        got = sum(1 for g in small_graphs(n) if g.is_connected())
         assert got == connected[n - 1]

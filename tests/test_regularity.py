@@ -123,17 +123,24 @@ def _naive_instances(count, seed, probs=(0.2, 0.5, 0.8)):
 
 def _agrees(v, g, a, b, eps, target, superdensity=False):
     """Exact verdict and lex-least witness equal the naive scan's; a sampled
-    verdict's witness, if any, violates by the naive integer test."""
+    verdict's witness, if any, violates by the naive integer test, and with
+    eps > 1 the sampled verdict is the exact one."""
     ref = naive_least_witness(g, a, b, eps, target, superdensity)
     assert v.holds == (ref is None)
     if v.witness is not None:
         assert v.witness.kind == "density"
         assert (v.witness.x, v.witness.y, v.witness.deviation) == ref
-    if ref is not None and eps <= 1:
-        fn = check_pair_superregular if superdensity else check_pair_regular
-        sampled = (fn(PairSpec(g, a, b, eps, target), sampled=True, seed=5)
-                   if a != b else check_digraph_regular(g, eps, target,
-                                                        sampled=True, seed=5))
+    if ref is None and eps <= 1:
+        return
+    fn = check_pair_superregular if superdensity else check_pair_regular
+    sampled = (fn(PairSpec(g, a, b, eps, target), sampled=True, seed=5)
+               if a != b else check_digraph_regular(g, eps, target,
+                                                    sampled=True, seed=5))
+    if eps > 1:
+        # no X qualifies: sampled mode answers as exact mode does, with no draw
+        assert sampled == v
+        assert (v.holds, v.checked_pairs, v.mode) == (True, 0, "exact")
+    else:
         assert sampled.mode == "sampled"
         if sampled.witness is not None:
             assert naive_violates(g, a, b, eps, target, sampled.witness,
